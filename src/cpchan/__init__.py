@@ -46,7 +46,6 @@ from .channel_recovery import (
     EstimationResult,
     PipelineConfig,
     estimate_all,
-    estimate_user_channel,
     nmse,
     reconstruct_compressed_channel,
     resolve_ambiguity,

@@ -209,8 +209,11 @@ def run_trial(cfg: ExperimentConfig, point_idx: int, trial: int) -> list[ResultR
                 rows.append(ResultRow(
                     nmse=res.nmse_total, nmse_per_user=res.nmse_per_user or [],
                     runtime_s=res.runtime_s, estimated_rank=-1, **base))
-        except Exception as exc:  # failed trials are recorded, the sweep continues
-            rows.append(ResultRow(nmse=None, status=f"failed:{exc}", **base))
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            # numerical failures on degenerate draws are recorded and the sweep
+            # continues; any other exception is a programming error and propagates
+            rows.append(ResultRow(
+                nmse=None, status=f"failed:{type(exc).__name__}: {exc}", **base))
     return rows
 
 

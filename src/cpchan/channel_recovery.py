@@ -28,9 +28,7 @@ from .measurement import MeasurementTensor, noise_std_per_entry
 from .sparse_solver import (
     AngleGrid,
     FistaConfig,
-    FistaResult,
     GridDictionaryOperator,
-    ScaledColumnsOperator,
     StackedGridOperator,
     fista,
     top_singular_value,
@@ -50,14 +48,6 @@ class AmbiguityResolution:
     paths_per_user: np.ndarray    # histogram of the assignment
     match_scores: np.ndarray      # normalized correlation magnitudes in [0, 1]
     empty_users: tuple[int, ...] = ()  # users that received no component
-
-
-@dataclass(frozen=True)
-class UserEstimate:
-    H: np.ndarray
-    support: np.ndarray           # linear grid indices of retained paths
-    gains: np.ndarray             # refit coefficients on the support
-    solver_converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -150,7 +140,7 @@ def _support_from_magnitudes(mag: np.ndarray, n_measurements: int) -> np.ndarray
 def _support_and_refit(
     op: GridDictionaryOperator,
     z: np.ndarray,
-    sol: FistaResult,
+    x: np.ndarray,
     noise_std: float = 0.0,
 ):
     """Threshold the grid solution and debias on the recovered support.
@@ -171,7 +161,7 @@ def _support_and_refit(
     best correlated with the measurement, keeps only atoms that actually
     reduce the residual and collapses to the exact support on-grid.
     """
-    candidates = _support_from_magnitudes(np.abs(sol.x), op.shape[0])
+    candidates = _support_from_magnitudes(np.abs(x), op.shape[0])
     if candidates.size == 0:
         return candidates, np.array([], dtype=np.complex128)
     if noise_std > 0.0:
@@ -226,34 +216,8 @@ def channel_from_grid(
     return H
 
 
-def estimate_user_channel(
-    z_u: np.ndarray,
-    design: TrainingDesign,
-    grid: AngleGrid,
-    solver_cfg: FistaConfig,
-    noise_std: float = 0.0,
-) -> UserEstimate:
-    """Sparse AoA/AoD recovery of one user's channel from its compressed image."""
-    if grid.size < 1:
-        raise ValueError("empty grid")
-    z_u = np.asarray(z_u, dtype=np.complex128).ravel()
-    if not np.any(z_u):
-        return UserEstimate(
-            np.zeros((design.n_bs, design.n_ms), dtype=np.complex128),
-            np.array([], dtype=int), np.array([], dtype=np.complex128))
-    op = GridDictionaryOperator(design, grid)
-    norms = op.column_norms()
-    sol = fista(ScaledColumnsOperator(op, 1.0 / norms), z_u, solver_cfg)
-    # undo the column normalization before thresholding physical gains
-    sol = FistaResult(sol.x / norms, sol.objective_trace, sol.iterations, sol.converged)
-    support, gains = _support_and_refit(op, z_u, sol, noise_std)
-    H = channel_from_grid(support, gains, grid, design.n_bs, design.n_ms)
-    return UserEstimate(H, support, gains, sol.converged)
-
-
 def refinement_lambda(
     z_u: np.ndarray,
-    op_norms: np.ndarray,
     noise_std: float,
     n_atoms: int,
     c: float = 1.0,
@@ -285,6 +249,44 @@ class PipelineConfig:
     fista_tol: float = 1e-7
     lambda_scale: float = 4.0           # multiplier c on the universal threshold
     snap_sweeps: int = 3                # pilot-constrained polish sweeps after assignment
+
+
+def refine_channels(
+    Z: np.ndarray,
+    design: TrainingDesign,
+    cfg: PipelineConfig,
+    noise_std: float,
+) -> tuple[list[np.ndarray], bool]:
+    """Sparse AoA/AoD recovery of every user's channel from its compressed image.
+
+    Column u of ``Z`` is vec(A_Q_u diag(lambda_u) A_P_u^T) for user u.  Returns
+    the per-user channel matrices and whether the l1 solve converged.
+    """
+    Z = np.asfortranarray(Z, dtype=np.complex128)
+    n_users = Z.shape[1]
+    op = GridDictionaryOperator(design, cfg.grid)
+    norms = op.column_norms()
+    z_all = Z.ravel(order="F")
+    lam = refinement_lambda(z_all, noise_std, cfg.grid.size, cfg.lambda_scale)
+    # all users share the dictionary, so the per-user solves batch into one
+    # block-diagonal FISTA run on the column-normalized operator
+    op_unit = GridDictionaryOperator(design, cfg.grid, normalize_columns=True)
+    stacked = StackedGridOperator(op_unit, n_users)
+    # the stacked operator is block diagonal with identical blocks, so its
+    # top singular value is the single block's; estimate it on the block
+    step = 1.0 / (2.0 * top_singular_value(op_unit) ** 2)
+    sol = fista(
+        stacked,
+        z_all,
+        FistaConfig(lam=lam, max_iters=cfg.fista_max_iters, tol=cfg.fista_tol, step=step),
+    )
+    # undo the column normalization before thresholding physical gains
+    X = sol.x.reshape(cfg.grid.size, n_users, order="F") / norms[:, None]
+    channels = []
+    for u in range(n_users):
+        support, gains = _support_and_refit(op, Z[:, u], X[:, u], noise_std)
+        channels.append(channel_from_grid(support, gains, cfg.grid, design.n_bs, design.n_ms))
+    return channels, sol.converged
 
 
 def estimate_all(
@@ -323,37 +325,11 @@ def estimate_all(
         A_snap, B_snap = pilot_constrained_polish(
             Y, design.S[:, resolution.assignment], A_snap, B_snap, cfg.snap_sweeps)
 
-    noise_std = noise_std_per_entry(measurement)
-    op = GridDictionaryOperator(design, cfg.grid)
-    norms = op.column_norms()
-    n_users = design.n_users
-    Z_list = [
-        (A_snap[:, resolution.assignment == u] @ B_snap[:, resolution.assignment == u].T)
-        .ravel(order="F")
-        for u in range(n_users)
-    ]
-    z_all = np.concatenate(Z_list)
-    lam = refinement_lambda(z_all, norms, noise_std, cfg.grid.size, cfg.lambda_scale)
-    # all users share the dictionary, so the per-user solves batch into one
-    # block-diagonal FISTA run on the column-normalized operator
-    op_unit = GridDictionaryOperator(design, cfg.grid, normalize_columns=True)
-    stacked = StackedGridOperator(op_unit, n_users)
-    # the stacked operator is block diagonal with identical blocks, so its
-    # top singular value is the single block's; estimate it on the block
-    step = 1.0 / (2.0 * top_singular_value(op_unit) ** 2)
-    sol = fista(
-        stacked,
-        z_all,
-        FistaConfig(lam=lam, max_iters=cfg.fista_max_iters, tol=cfg.fista_tol, step=step),
-    )
-    stacked_norms = np.tile(norms, n_users)
-    x_users = (sol.x / stacked_norms).reshape(cfg.grid.size, n_users, order="F")
-    channels: list[np.ndarray] = []
-    solver_flags = [sol.converged]
-    for u in range(n_users):
-        per_user = FistaResult(x_users[:, u], [], sol.iterations, sol.converged)
-        support, gains = _support_and_refit(op, Z_list[u], per_user, noise_std)
-        channels.append(channel_from_grid(support, gains, cfg.grid, design.n_bs, design.n_ms))
+    assigned = [resolution.assignment == u for u in range(design.n_users)]
+    Z = np.stack(
+        [(A_snap[:, m] @ B_snap[:, m].T).ravel(order="F") for m in assigned], axis=1)
+    channels, solver_converged = refine_channels(
+        Z, design, cfg, noise_std_per_entry(measurement))
 
     runtime = time.perf_counter() - t0
     nmse_total = None
@@ -373,7 +349,7 @@ def estimate_all(
         runtime_s=runtime,
         diagnostics={
             "als_converged": res.converged,
-            "solver_converged": all(solver_flags),
+            "solver_converged": solver_converged,
             "match_scores": resolution.match_scores.tolist(),
         },
     )

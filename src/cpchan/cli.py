@@ -1,12 +1,13 @@
-"""Command-line entry point: Monte-Carlo sweeps, uniqueness checks, oracles.
+"""Command-line entry point: Monte-Carlo sweeps and uniqueness checks.
 
     cpchan run <config.json> [--out results.csv] [--seed N] [--threads N]
                [--deterministic] [--check-trend]
     cpchan check-uniqueness <config.json> [--seed N]
-    cpchan oracle <tensor|krank|fista|all>
 
-Exit code is nonzero when an assertion-mode check (``--check-trend``) or an
-oracle suite fails.
+Exit code is nonzero when the ``--check-trend`` assertion fails or the
+drawn scene fails the uniqueness check.  The brute-force self-checks
+(tensor algebra, k-rank against exhaustive search, FISTA) live in the test
+suite, ``tests/test_acceptance.py``.
 """
 
 from __future__ import annotations
@@ -58,94 +59,6 @@ def _cmd_check_uniqueness(args) -> int:
     return 0 if report.passed else 1
 
 
-def _oracle_tensor(rng) -> bool:
-    from .tensor_core import (ComplexTensor3, FactorTriple, compose, fold,
-                              khatri_rao, mode_n_product, unfold)
-
-    ok = True
-    for dims in [(2, 3, 4), (5, 4, 3), (8, 8, 8)]:
-        X = ComplexTensor3(rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
-        for n in (1, 2, 3):
-            ok &= fold(unfold(X, n), n, dims) == X
-            M = rng.standard_normal((6, dims[n - 1])) + 1j * rng.standard_normal((6, dims[n - 1]))
-            lhs = unfold(mode_n_product(X, M, n), n)
-            ok &= np.allclose(lhs, M @ unfold(X, n), rtol=1e-12, atol=1e-12)
-        F = FactorTriple(*(rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
-                           for d in dims))
-        Y = compose(F)
-        ok &= np.allclose(unfold(Y, 3), F.C @ khatri_rao(F.B, F.A).T, atol=1e-12)
-    return bool(ok)
-
-
-def _oracle_krank(rng) -> bool:
-    from itertools import combinations
-
-    from .training_design import KRANK_TOL, krank
-
-    def exhaustive(M):
-        n = M.shape[1]
-        smax = np.linalg.svd(M, compute_uv=False)[0]
-        if smax == 0:
-            return 0
-        k = 0
-        for size in range(1, n + 1):
-            all_ok = True
-            for cols in combinations(range(n), size):
-                sub = M[:, list(cols)]
-                s = np.linalg.svd(sub, compute_uv=False)
-                if len(cols) > M.shape[0] or s[-1] <= KRANK_TOL * smax:
-                    all_ok = False
-                    break
-            if all_ok:
-                k = size
-            else:
-                break
-        return k
-
-    for _ in range(50):
-        rows, cols = rng.integers(2, 9), rng.integers(1, 7)
-        M = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        if rng.random() < 0.3 and cols >= 2:  # force a dependent pair sometimes
-            M[:, -1] = 2.0 * M[:, 0]
-        if krank(M) != exhaustive(M):
-            return False
-    return True
-
-
-def _oracle_fista(rng) -> bool:
-    from .sparse_solver import (FistaConfig, MatrixOperator, adjoint_mismatch,
-                                fista, soft_threshold)
-
-    ok = True
-    # prox: analytic complex soft threshold
-    v = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-    t = 0.3
-    expect = v * np.maximum(0, 1 - t / np.abs(v))
-    ok &= np.allclose(soft_threshold(v, t), expect, atol=1e-12)
-    # adjoint on a random dense operator
-    M = rng.standard_normal((20, 35)) + 1j * rng.standard_normal((20, 35))
-    ok &= adjoint_mismatch(MatrixOperator(M), rng) < 1e-10
-    # identity-case fixed point
-    y = np.array([3.0, 0.1], dtype=np.complex128)
-    res = fista(np.eye(2), y, FistaConfig(lam=1.0, max_iters=500, tol=1e-14))
-    ok &= np.allclose(res.x, [2.5, 0.0], atol=1e-6)
-    return bool(ok)
-
-
-ORACLES = {"tensor": _oracle_tensor, "krank": _oracle_krank, "fista": _oracle_fista}
-
-
-def _cmd_oracle(args) -> int:
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    suites = list(ORACLES) if args.suite == "all" else [args.suite]
-    failed = False
-    for name in suites:
-        passed = ORACLES[name](rng)
-        print(f"oracle {name}: {'PASS' if passed else 'FAIL'}")
-        failed |= not passed
-    return 1 if failed else 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="cpchan")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -165,11 +78,6 @@ def main(argv=None) -> int:
     p_chk.add_argument("config")
     p_chk.add_argument("--seed", type=int, default=None)
     p_chk.set_defaults(func=_cmd_check_uniqueness)
-
-    p_or = sub.add_parser("oracle", help="run brute-force oracle suites")
-    p_or.add_argument("suite", choices=[*ORACLES, "all"])
-    p_or.add_argument("--seed", type=int, default=None)
-    p_or.set_defaults(func=_cmd_oracle)
 
     args = parser.parse_args(argv)
     return args.func(args)

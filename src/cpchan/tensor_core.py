@@ -36,7 +36,8 @@ class ComplexTensor3:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _as_complex(self.data)
+        # a private copy: freezing must not make the caller's array read-only
+        arr = np.array(self.data, dtype=np.complex128, order="C")
         if arr.ndim != 3:
             raise ValueError(f"expected a 3-way array, got ndim={arr.ndim}")
         if min(arr.shape) < 1:
@@ -66,7 +67,8 @@ class FactorTriple:
     weights: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        A, B, C = (_as_complex(m) for m in (self.A, self.B, self.C))
+        A, B, C = (np.array(m, dtype=np.complex128, order="C")
+                   for m in (self.A, self.B, self.C))
         for name, m in (("A", A), ("B", B), ("C", C)):
             if m.ndim != 2:
                 raise ValueError(f"factor {name} must be a matrix")
@@ -76,7 +78,7 @@ class FactorTriple:
             )
         w = self.weights
         if w is not None:
-            w = np.asarray(w, dtype=np.float64)
+            w = np.array(w, dtype=np.float64)
             if w.shape != (A.shape[1],):
                 raise ValueError("weights length must equal the column count")
             if np.any(w < 0):

@@ -15,14 +15,13 @@ SNR reference).
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 KRANK_TOL = 1e-9          # subset dependent when sigma_min / sigma_max(full M) < tol
-KRANK_EXHAUSTIVE_MAX = 20  # exhaustive subset search only up to this many columns
+KRANK_EXHAUSTIVE_MAX = 20  # exhaustive subset search only up to this many items
 
 
 @dataclass(frozen=True)
@@ -33,10 +32,11 @@ class TrainingDesign:
     O: np.ndarray  # u x L, 0/1 block selector
 
     def __post_init__(self):
-        P = np.asarray(self.P, dtype=np.complex128)
-        Q = np.asarray(self.Q, dtype=np.complex128)
-        S = np.asarray(self.S, dtype=np.complex128)
-        O = np.asarray(self.O, dtype=np.float64)
+        # private copies: freezing must not make the caller's arrays read-only
+        P = np.array(self.P, dtype=np.complex128)
+        Q = np.array(self.Q, dtype=np.complex128)
+        S = np.array(self.S, dtype=np.complex128)
+        O = np.array(self.O, dtype=np.float64)
         if O.ndim != 2 or O.shape[0] != S.shape[1]:
             raise ValueError("O must be u x L with u = pilot column count")
         col_sums = O.sum(axis=0)
@@ -201,71 +201,54 @@ def _subset_independent(M: np.ndarray, cols, sigma_max: float) -> bool:
     return s[-1] > KRANK_TOL * sigma_max
 
 
-def krank(M) -> int:
-    """Kruskal rank: largest k such that every k-column subset is independent.
-
-    If the whole matrix has full column rank the k-rank equals the column
-    count (every subset of independent columns is independent), so the
-    exhaustive search only runs for rank-deficient inputs.
-    """
+def _as_matrix(M) -> np.ndarray:
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim != 2 or M.size == 0:
         raise ValueError("krank needs a nonempty matrix")
-    n = M.shape[1]
-    s = np.linalg.svd(M, compute_uv=False)
-    sigma_max = s[0]
-    if sigma_max == 0.0:
-        return 0
-    if n <= M.shape[0] and s[-1] > KRANK_TOL * sigma_max:
-        return n
-    if n > KRANK_EXHAUSTIVE_MAX:
-        warnings.warn(
-            f"krank: {n} columns exceeds the exhaustive limit; "
-            "returning the full-matrix rank as an upper bound"
-        )
-        return int(np.sum(s > KRANK_TOL * sigma_max))
-    k = 0
-    for size in range(1, n + 1):
-        if all(_subset_independent(M, c, sigma_max) for c in combinations(range(n), size)):
-            k = size
-        else:
-            break
-    return k
+    return M
+
+
+def krank(M) -> int:
+    """Kruskal rank: largest k such that every k-column subset is independent."""
+    M = _as_matrix(M)
+    return krank_partitioned(M, [1] * M.shape[1])
 
 
 def krank_partitioned(M, blocks) -> int:
     """k'-rank of a column-partitioned matrix.
 
     The maximal r such that every choice of r blocks yields a jointly
-    linearly independent set of columns.
+    linearly independent set of columns.  With one column per block this is
+    the Kruskal rank.  If the whole matrix has full column rank the answer is
+    the block count (every subset of independent columns is independent), so
+    the exhaustive search only runs for rank-deficient inputs, and raises
+    ValueError past KRANK_EXHAUSTIVE_MAX blocks.
     """
-    M = np.asarray(M, dtype=np.complex128)
+    M = _as_matrix(M)
     blocks = [int(b) for b in blocks]
     if sum(blocks) != M.shape[1]:
         raise ValueError(f"block sizes {blocks} do not sum to {M.shape[1]} columns")
     if any(b < 1 for b in blocks):
         raise ValueError("block sizes must be positive")
     n_blocks = len(blocks)
-    if n_blocks > KRANK_EXHAUSTIVE_MAX:
-        warnings.warn("krank_partitioned: too many blocks for exhaustive search")
-        n_blocks = KRANK_EXHAUSTIVE_MAX
-    starts = np.concatenate([[0], np.cumsum(blocks)])
-    col_sets = [list(range(starts[i], starts[i + 1])) for i in range(len(blocks))]
-    sigma_max = np.linalg.svd(M, compute_uv=False)[0]
+    s = np.linalg.svd(M, compute_uv=False)
+    sigma_max = s[0]
     if sigma_max == 0.0:
         return 0
+    if M.shape[1] <= M.shape[0] and s[-1] > KRANK_TOL * sigma_max:
+        return n_blocks
+    if n_blocks > KRANK_EXHAUSTIVE_MAX:
+        raise ValueError(
+            f"k-rank of a rank-deficient matrix with {n_blocks} blocks exceeds "
+            f"the exhaustive search limit of {KRANK_EXHAUSTIVE_MAX}")
+    starts = np.concatenate([[0], np.cumsum(blocks)])
+    col_sets = [range(starts[i], starts[i + 1]) for i in range(n_blocks)]
     k = 0
-    for size in range(1, len(blocks) + 1):
-        ok = True
-        for chosen in combinations(range(len(blocks)), size):
-            cols = [c for b in chosen for c in col_sets[b]]
-            if not _subset_independent(M, cols, sigma_max):
-                ok = False
-                break
-        if ok:
-            k = size
-        else:
+    for size in range(1, n_blocks + 1):
+        if not all(_subset_independent(M, [c for b in chosen for c in col_sets[b]], sigma_max)
+                   for chosen in combinations(range(n_blocks), size)):
             break
+        k = size
     return k
 
 

@@ -79,6 +79,25 @@ class TestRunTrial:
         assert all(r.status == "ok" for r in rows)
         assert all(np.isfinite(r.nmse) for r in rows)
 
+    def test_numerical_failure_becomes_a_typed_failed_row(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(bench.cs_baseline, "solve_cs", singular)
+        cfg = ExperimentConfig(**TINY, methods=("cs_grid1",))
+        (row,) = run_trial(cfg, 0, 0)
+        assert row.nmse is None
+        assert row.status == "failed:LinAlgError: SVD did not converge"
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected keyword argument")
+
+        monkeypatch.setattr(bench.cs_baseline, "solve_cs", broken)
+        cfg = ExperimentConfig(**TINY, methods=("cs_grid1",))
+        with pytest.raises(TypeError):
+            run_trial(cfg, 0, 0)
+
     def test_different_trials_get_different_tensors(self):
         cfg = ExperimentConfig(**{**TINY, "trials": 2}, methods=("cs_grid1",))
         h0 = run_trial(cfg, 0, 0)[0].tensor_sha256

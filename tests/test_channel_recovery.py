@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from cpchan import channel_recovery
 from cpchan.channel_recovery import (
     PipelineConfig,
     channel_from_grid,
     estimate_all,
-    estimate_user_channel,
     nmse,
     pilot_constrained_polish,
     reconstruct_compressed_channel,
+    refine_channels,
     refinement_lambda,
     resolve_ambiguity,
 )
@@ -21,7 +22,7 @@ from cpchan.channel_sim import (
 )
 from cpchan.cp_als import AlsConfig
 from cpchan.measurement import simulate
-from cpchan.sparse_solver import AngleGrid, FistaConfig
+from cpchan.sparse_solver import AngleGrid
 from cpchan.tensor_core import ComplexTensor3, FactorTriple, compose, frobenius_norm
 from cpchan.training_design import build_design, pilot_matrix
 
@@ -139,13 +140,12 @@ class TestNmse:
 
 class TestRefinementLambda:
     def test_noisy_uses_universal_threshold(self):
-        lam = refinement_lambda(np.ones(4), np.ones(10), noise_std=2.0,
-                                n_atoms=100, c=3.0)
+        lam = refinement_lambda(np.ones(4), noise_std=2.0, n_atoms=100, c=3.0)
         assert lam == pytest.approx(6.0 * np.sqrt(2 * np.log(100)))
 
     def test_noiseless_floor_is_tiny_but_positive(self):
         z = np.array([0.5, -2.0, 1.0])
-        lam = refinement_lambda(z, np.ones(3), noise_std=0.0, n_atoms=100)
+        lam = refinement_lambda(z, noise_std=0.0, n_atoms=100)
         assert lam == pytest.approx(2e-8)
         assert lam > 0
 
@@ -159,24 +159,32 @@ def on_grid_scene(seed, n_users, paths, n_bs, n_ms, m_bs, t_prime, t, grid):
 
 
 class TestEstimateUserChannel:
-    def test_noiseless_on_grid_exact(self):
+    """The refinement stage of estimate_all on a single user (one column)."""
+
+    def test_noiseless_on_grid_exact(self, monkeypatch):
+        supports = []
+
+        def recording_channel_from_grid(support, *args):
+            supports.append(support)
+            return channel_from_grid(support, *args)
+
+        monkeypatch.setattr(channel_recovery, "channel_from_grid", recording_channel_from_grid)
         grid = AngleGrid(32, 16)
         channel, design = on_grid_scene(7, 1, (2,), 16, 8, 16, 16, 2, grid)
         H_true = assemble_all(channel)[0]
         z = (design.Q.T @ H_true @ design.P).ravel(order="F")
-        lam = refinement_lambda(z, None, 0.0, grid.size)
-        est = estimate_user_channel(
-            z, design, grid, FistaConfig(lam=lam, max_iters=3000, tol=1e-14))
-        assert nmse([H_true], [est.H]) < 1e-10
-        assert est.support.size == 2
+        cfg = PipelineConfig(grid=grid, fista_max_iters=3000, fista_tol=1e-14)
+        (H,), _ = refine_channels(z[:, None], design, cfg, noise_std=0.0)
+        assert nmse([H_true], [H]) < 1e-10
+        assert [s.size for s in supports] == [2]
 
     def test_zero_input_gives_zero_channel(self):
         rng = np.random.default_rng(8)
         design = build_design(rng, 16, 8, 6, 5, 2, (1, 1))
-        est = estimate_user_channel(np.zeros(30), design, AngleGrid(8, 8),
-                                    FistaConfig(lam=1.0))
-        np.testing.assert_array_equal(est.H, 0)
-        assert est.support.size == 0
+        cfg = PipelineConfig(grid=AngleGrid(8, 8))
+        (H,), converged = refine_channels(np.zeros((30, 1)), design, cfg, noise_std=0.0)
+        np.testing.assert_array_equal(H, 0)
+        assert converged
 
 
 class TestEstimateAll:

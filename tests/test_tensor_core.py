@@ -16,6 +16,7 @@ from cpchan.tensor_core import (
     mode_n_product,
     unfold,
 )
+from cpchan.training_design import TrainingDesign, expansion_matrix
 
 
 def random_tensor(rng, dims):
@@ -264,3 +265,20 @@ class TestTypeInvariants:
     def test_factor_column_mismatch(self):
         with pytest.raises(ValueError):
             FactorTriple(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
+
+    def test_wrapping_leaves_caller_arrays_writeable(self):
+        # the wrappers freeze private copies, never the arrays they were given
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal((2, 3, 4)) + 0j
+        A, B, C = (rng.standard_normal((d, 2)) + 0j for d in (2, 3, 4))
+        weights = np.ones(2)
+        P, Q, S = (rng.standard_normal((4, 2)) + 0j for _ in range(3))
+        O = expansion_matrix((1, 1))
+        X = ComplexTensor3(data)
+        F = FactorTriple(A, B, C, weights)
+        TrainingDesign(P=P, Q=Q, S=S, O=O)
+        for arr in (data, A, B, C, weights, P, Q, S, O):
+            assert arr.flags.writeable
+        data[0, 0, 0] = 5.0
+        A[0, 0] = 5.0
+        assert X.data[0, 0, 0] != 5.0 and F.A[0, 0] != 5.0

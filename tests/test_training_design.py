@@ -8,6 +8,7 @@ from itertools import combinations
 
 from cpchan.channel_sim import sample_channel
 from cpchan.training_design import (
+    KRANK_EXHAUSTIVE_MAX,
     TrainingDesign,
     build_design,
     check_uniqueness,
@@ -126,6 +127,14 @@ class TestKrank:
         M = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
         assert krank(M) == 3  # generic: every 3 columns independent
 
+    def test_rank_deficient_past_exhaustive_limit_raises(self):
+        # no upper bound passed off as the k-rank: the search refuses instead
+        rng = np.random.default_rng(11)
+        n = KRANK_EXHAUSTIVE_MAX + 1
+        M = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        with pytest.raises(ValueError):
+            krank(M)
+
     def test_matches_exhaustive_oracle(self):
         # independent exhaustive-subset oracle
         def oracle(M):
@@ -176,6 +185,10 @@ class TestKrankPartitioned:
     def test_bad_partition(self):
         with pytest.raises(ValueError):
             krank_partitioned(np.eye(4), [2, 3])
+
+    def test_full_column_rank_skips_the_block_limit(self):
+        n = KRANK_EXHAUSTIVE_MAX + 1
+        assert krank_partitioned(np.eye(2 * n), [2] * n) == n
 
 
 class TestCheckUniqueness:
