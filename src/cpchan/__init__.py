@@ -25,8 +25,6 @@ from .channel_sim import (
     assemble_all,
     sample_channel,
     sample_channel_on_grid,
-    steering_bs,
-    steering_ms,
 )
 from .training_design import (
     TrainingDesign,

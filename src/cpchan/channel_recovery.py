@@ -39,6 +39,10 @@ from .training_design import TrainingDesign, krank
 
 SUPPORT_THRESHOLD = 0.05  # keep grid coefficients above 5% of the peak magnitude
 REFIT_RCOND = 1e-2        # truncated-SVD cutoff for the debias refit (see below)
+# a hard threshold (large c) suits the per-user refinement, which debiases on
+# the recovered support
+LAMBDA_SCALE = 4.0        # multiplier c on the universal threshold
+SNAP_SWEEPS = 3           # pilot-constrained polish sweeps after assignment
 
 
 @dataclass(frozen=True)
@@ -202,15 +206,14 @@ def channel_from_grid(
     grid: AngleGrid,
     n_bs: int,
     n_ms: int,
-    d_over_lambda: float = 0.5,
 ) -> np.ndarray:
     """Sum of grid-steering rank-one terms for the recovered support."""
     H = np.zeros((n_bs, n_ms), dtype=np.complex128)
     if support.size == 0:
         return H
     aod_idx, aoa_idx = zip(*(grid.cell(k) for k in support))
-    A = steering_from_sin(grid.sin_aoa[list(aoa_idx)], n_bs, d_over_lambda)
-    B = steering_from_sin(grid.sin_aod[list(aod_idx)], n_ms, d_over_lambda)
+    A = steering_from_sin(grid.sin_aoa[list(aoa_idx)], n_bs)
+    B = steering_from_sin(grid.sin_aod[list(aod_idx)], n_ms)
     for r, g in enumerate(gains):
         H += g * np.outer(A[:, r], B[:, r])
     return H
@@ -247,8 +250,6 @@ class PipelineConfig:
     known_rank: int | None = None       # run fixed-rank ALS when set
     fista_max_iters: int = 150
     fista_tol: float = 1e-7
-    lambda_scale: float = 4.0           # multiplier c on the universal threshold
-    snap_sweeps: int = 3                # pilot-constrained polish sweeps after assignment
 
 
 def refine_channels(
@@ -267,7 +268,7 @@ def refine_channels(
     op = GridDictionaryOperator(design, cfg.grid)
     norms = op.column_norms()
     z_all = Z.ravel(order="F")
-    lam = refinement_lambda(z_all, noise_std, cfg.grid.size, cfg.lambda_scale)
+    lam = refinement_lambda(z_all, noise_std, cfg.grid.size, LAMBDA_SCALE)
     # all users share the dictionary, so the per-user solves batch into one
     # block-diagonal FISTA run on the column-normalized operator
     op_unit = GridDictionaryOperator(design, cfg.grid, normalize_columns=True)
@@ -319,11 +320,9 @@ def estimate_all(
 
     # with the assignment fixed, the pilot-mode columns are known exactly;
     # polishing the spatial factors against them removes pilot-mode noise
-    A_snap = F.A * resolution.lambda3[None, :]
-    B_snap = F.B
-    if cfg.snap_sweeps > 0:
-        A_snap, B_snap = pilot_constrained_polish(
-            Y, design.S[:, resolution.assignment], A_snap, B_snap, cfg.snap_sweeps)
+    A_snap, B_snap = pilot_constrained_polish(
+        Y, design.S[:, resolution.assignment], F.A * resolution.lambda3[None, :], F.B,
+        SNAP_SWEEPS)
 
     assigned = [resolution.assignment == u for u in range(design.n_users)]
     Z = np.stack(

@@ -4,12 +4,15 @@ Channels follow the flat geometric model
 
     H_u = sum_l  alpha_{u,l} * a_bs(theta_{u,l}) a_ms(phi_{u,l})^T
 
-with unit-norm ULA steering vectors on both sides.  Angles of arrival and
-departure are drawn uniformly on [0, 2*pi]; since the array response depends
-only on sin(angle), angles outside (-pi/2, pi/2] alias onto that interval,
-which is harmless for estimation (everything downstream works in the
-sin-domain).  Path gains are circularly-symmetric complex Gaussian with
-variance n_bs * n_ms / rho, rho = (4*pi*d*f_c/c)^2.
+with unit-norm half-wavelength ULA steering vectors on both sides.  The
+element spacing D_OVER_LAMBDA is a module constant, so the simulated channels,
+the uniqueness check and the estimators' grid dictionaries all share it.
+Angles of arrival and departure are drawn uniformly on [0, 2*pi]; since the
+array response depends only on sin(angle), angles outside (-pi/2, pi/2] alias
+onto that interval, which is harmless for estimation (everything downstream
+works in the sin-domain).  Path gains are circularly-symmetric complex Gaussian with
+variance n_bs * n_ms / rho, rho = (4*pi*d*f_c/c)^2, at the fixed operating
+point f_c = 28 GHz, d = 50 m.
 
 All randomness comes through an explicitly passed numpy Generator; seeding
 ``numpy.random.default_rng(seed)`` (PCG64) makes every draw reproducible.
@@ -17,14 +20,14 @@ All randomness comes through an explicitly passed numpy Generator; seeding
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0
-
-DEFAULT_D_OVER_LAMBDA = 0.5  # half-wavelength element spacing
+CARRIER_HZ = 28e9
+DISTANCE_M = 50.0
+D_OVER_LAMBDA = 0.5  # half-wavelength element spacing
 
 
 @dataclass(frozen=True)
@@ -43,13 +46,11 @@ class PathParams:
 
 @dataclass(frozen=True)
 class GeometricChannel:
-    """Per-user path lists plus the array geometry needed to assemble H_u."""
+    """Per-user path lists plus the array sizes needed to assemble H_u."""
 
     users: tuple[tuple[PathParams, ...], ...]
     n_bs: int
     n_ms: int
-    d_over_lambda: float = DEFAULT_D_OVER_LAMBDA
-    seed: int | None = None
 
     def __post_init__(self):
         if self.n_bs < 1 or self.n_ms < 1:
@@ -75,28 +76,19 @@ class GeometricChannel:
         return [p for paths in self.users for p in paths]
 
 
-def steering_from_sin(sin_angle, n: int, d_over_lambda: float = DEFAULT_D_OVER_LAMBDA) -> np.ndarray:
+def steering_from_sin(sin_angle, n: int) -> np.ndarray:
     """ULA response for given sin(angle) values; columns are unit-norm.
 
-    Accepts a scalar (returns shape (n,)) or a 1-d array of m sin values
+    Entry k is exp(j*k*2*pi*(d/lambda)*sin(angle))/sqrt(n), the same form on
+    the BS and MS sides.  Accepts a scalar (returns shape (n,)) or a 1-d array of m sin values
     (returns shape (n, m)).
     """
     if n < 1:
         raise ValueError("array size must be >= 1")
     s = np.atleast_1d(np.asarray(sin_angle, dtype=np.float64))
     k = np.arange(n)[:, None]
-    out = np.exp(1j * 2 * np.pi * d_over_lambda * k * s[None, :]) / np.sqrt(n)
+    out = np.exp(1j * 2 * np.pi * D_OVER_LAMBDA * k * s[None, :]) / np.sqrt(n)
     return out[:, 0] if np.isscalar(sin_angle) or np.ndim(sin_angle) == 0 else out
-
-
-def steering_bs(theta: float, n: int, d_over_lambda: float = DEFAULT_D_OVER_LAMBDA) -> np.ndarray:
-    """BS-side steering vector, entry k = exp(j*k*2*pi*(d/lambda)*sin(theta))/sqrt(n)."""
-    return steering_from_sin(np.sin(theta), n, d_over_lambda)
-
-
-def steering_ms(phi: float, n: int, d_over_lambda: float = DEFAULT_D_OVER_LAMBDA) -> np.ndarray:
-    """MS-side steering vector; same ULA form as the BS side."""
-    return steering_from_sin(np.sin(phi), n, d_over_lambda)
 
 
 def path_gain_variance(n_bs: int, n_ms: int, carrier_hz: float, distance_m: float) -> float:
@@ -111,9 +103,6 @@ def sample_channel(
     paths_per_user,
     n_bs: int,
     n_ms: int,
-    carrier_hz: float = 28e9,
-    distance_m: float = 50.0,
-    d_over_lambda: float = DEFAULT_D_OVER_LAMBDA,
 ) -> GeometricChannel:
     """Draw a random geometric channel with the stated gain/angle statistics."""
     paths_per_user = list(paths_per_user)
@@ -121,7 +110,7 @@ def sample_channel(
         raise ValueError("paths_per_user length must equal the user count")
     if n_users < 1 or any(l < 1 for l in paths_per_user):
         raise ValueError("user and path counts must be positive")
-    var = path_gain_variance(n_bs, n_ms, carrier_hz, distance_m)
+    var = path_gain_variance(n_bs, n_ms, CARRIER_HZ, DISTANCE_M)
     users = []
     for lu in paths_per_user:
         gains = np.sqrt(var / 2) * (rng.standard_normal(lu) + 1j * rng.standard_normal(lu))
@@ -129,7 +118,7 @@ def sample_channel(
         aods = rng.uniform(0.0, 2 * np.pi, size=lu)
         users.append(tuple(PathParams(complex(g), float(t), float(p))
                            for g, t, p in zip(gains, aoas, aods)))
-    return GeometricChannel(tuple(users), n_bs, n_ms, d_over_lambda)
+    return GeometricChannel(tuple(users), n_bs, n_ms)
 
 
 def sample_channel_on_grid(
@@ -140,9 +129,6 @@ def sample_channel_on_grid(
     n_ms: int,
     sin_aoa_grid: np.ndarray,
     sin_aod_grid: np.ndarray,
-    carrier_hz: float = 28e9,
-    distance_m: float = 50.0,
-    d_over_lambda: float = DEFAULT_D_OVER_LAMBDA,
 ) -> GeometricChannel:
     """Like :func:`sample_channel` but with angles snapped to grid points.
 
@@ -156,7 +142,7 @@ def sample_channel_on_grid(
     total = sum(paths_per_user)
     if total > min(len(sin_aoa_grid), len(sin_aod_grid)):
         raise ValueError("more paths than distinct grid coordinates")
-    var = path_gain_variance(n_bs, n_ms, carrier_hz, distance_m)
+    var = path_gain_variance(n_bs, n_ms, CARRIER_HZ, DISTANCE_M)
     aoa_idx = rng.choice(len(sin_aoa_grid), size=total, replace=False)
     aod_idx = rng.choice(len(sin_aod_grid), size=total, replace=False)
     # map angle = arcsin(grid value) into [0, 2*pi] to respect PathParams bounds
@@ -169,7 +155,7 @@ def sample_channel_on_grid(
             PathParams(complex(gains[i]), float(aoas[i]), float(aods[i]))
             for i in range(k, k + lu)))
         k += lu
-    return GeometricChannel(tuple(users), n_bs, n_ms, d_over_lambda)
+    return GeometricChannel(tuple(users), n_bs, n_ms)
 
 
 def assemble(channel: GeometricChannel, u: int) -> np.ndarray:
@@ -178,49 +164,11 @@ def assemble(channel: GeometricChannel, u: int) -> np.ndarray:
         raise IndexError(f"user index {u} out of range")
     H = np.zeros((channel.n_bs, channel.n_ms), dtype=np.complex128)
     for p in channel.users[u]:
-        a = steering_bs(p.aoa, channel.n_bs, channel.d_over_lambda)
-        b = steering_ms(p.aod, channel.n_ms, channel.d_over_lambda)
+        a = steering_from_sin(np.sin(p.aoa), channel.n_bs)
+        b = steering_from_sin(np.sin(p.aod), channel.n_ms)
         H += p.gain * np.outer(a, b)
     return H
 
 
 def assemble_all(channel: GeometricChannel) -> list[np.ndarray]:
     return [assemble(channel, u) for u in range(channel.n_users)]
-
-
-# ---------------------------------------------------------------------------
-# serialization: a small JSON container so both estimation pipelines can
-# replay identical channel realizations
-# ---------------------------------------------------------------------------
-
-def channel_to_dict(channel: GeometricChannel) -> dict:
-    return {
-        "n_bs": channel.n_bs,
-        "n_ms": channel.n_ms,
-        "d_over_lambda": channel.d_over_lambda,
-        "seed": channel.seed,
-        "users": [
-            [{"gain_re": p.gain.real, "gain_im": p.gain.imag,
-              "aoa": p.aoa, "aod": p.aod} for p in paths]
-            for paths in channel.users
-        ],
-    }
-
-
-def channel_from_dict(d: dict) -> GeometricChannel:
-    users = tuple(
-        tuple(PathParams(complex(p["gain_re"], p["gain_im"]), p["aoa"], p["aod"])
-              for p in paths)
-        for paths in d["users"]
-    )
-    return GeometricChannel(users, d["n_bs"], d["n_ms"], d["d_over_lambda"], d.get("seed"))
-
-
-def save_channel(channel: GeometricChannel, path) -> None:
-    with open(path, "w") as f:
-        json.dump(channel_to_dict(channel), f, indent=1)
-
-
-def load_channel(path) -> GeometricChannel:
-    with open(path) as f:
-        return channel_from_dict(json.load(f))

@@ -4,8 +4,9 @@
                [--deterministic] [--check-trend]
     cpchan check-uniqueness <config.json> [--seed N]
 
-Exit code is nonzero when the ``--check-trend`` assertion fails or the
-drawn scene fails the uniqueness check.  The brute-force self-checks
+Exit code is nonzero when the ``--check-trend`` assertion fails (including
+a sweep point whose trials all failed) or when the drawn scene fails the
+uniqueness check or cannot be checked.  The brute-force self-checks
 (tensor algebra, k-rank against exhaustive search, FISTA) live in the test
 suite, ``tests/test_acceptance.py``.
 """
@@ -29,8 +30,9 @@ def _cmd_run(args) -> int:
                            deterministic=args.deterministic)
     for r in rows:
         if r.method.startswith("summary:"):
+            mean = "none" if r.nmse is None else f"{r.nmse:.4e}"
             print(f"{r.method:28s} {r.sweep_variable}={r.sweep_value:<8g} "
-                  f"mean_nmse={r.nmse:.4e} mean_runtime={r.runtime_s:.2f}s")
+                  f"mean_nmse={mean} mean_runtime={r.runtime_s:.2f}s {r.status}")
     if args.check_trend:
         method = "cpf_regularized" if "cpf_regularized" in cfg.methods else cfg.methods[0]
         if not bench.monotone_trend_ok(rows, method):
@@ -54,7 +56,11 @@ def _cmd_check_uniqueness(args) -> int:
                              cfg.n_bs, cfg.n_ms)
     design = build_design(rng_design, cfg.n_bs, cfg.n_ms, cfg.m_bs,
                           cfg.t_prime, cfg.t, cfg.paths_per_user)
-    report = check_uniqueness(design, channel)
+    try:
+        report = check_uniqueness(design, channel)
+    except ValueError as exc:
+        print(f"uniqueness unknown: {exc}", file=sys.stderr)
+        return 1
     print(report.summary())
     return 0 if report.passed else 1
 

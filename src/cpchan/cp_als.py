@@ -10,15 +10,16 @@ Two entry points:
   exactly through the Gram normal equations.
 
 * :func:`als_regularized` -- ridge-augmented ALS for unknown rank: the fit is
-  traded against mu * (tr A A^H + tr B B^H + tr C C^H), each update solving
-  the stacked-sqrt(mu) least squares problem in closed form.  After
+  traded against MU * (tr A A^H + tr B B^H + tr C C^H), each update solving
+  the stacked-sqrt(MU) least squares problem in closed form.  After
   convergence, rank-one components whose energy z_k = ||a_k|| ||b_k|| ||c_k||
-  falls below a relative threshold are pruned; the surviving count is the
-  rank estimate.
+  falls below PRUNE_THRESHOLD of the largest are pruned; the surviving count
+  is the rank estimate, and exact-LS sweeps at that rank polish the survivors.
 
-Both record an objective trace (fit, plus the trace penalty for the
-regularized solver) that is non-increasing by construction since every
-update is an exact minimizer of its subproblem.
+A run without a given starting point keeps the best of RESTARTS seeded random
+starts.  Both record an objective trace (fit, plus the trace penalty for the
+ridge stage) that is non-increasing by construction since every update is an
+exact minimizer of its subproblem.
 """
 
 from __future__ import annotations
@@ -30,23 +31,20 @@ import numpy as np
 from .tensor_core import ComplexTensor3, FactorTriple, compose, frobenius_norm, khatri_rao, unfold
 
 RIDGE_FLOOR = 1e-12        # relative floor on the Gram diagonal for numerical safety
-RANK_DEFICIENT_TOL = 1e-10
 WARMUP_ITERS = 200         # ridge warm-up sweep budget for the known-rank solver
+MU = 3e-3                  # ridge weight on unit-norm data; stable range [1e-3, 1e-2]
+PRUNE_THRESHOLD = 1e-2     # drop components below this share of the largest energy
+RESTARTS = 3               # random starts per ALS run; the best objective wins
 
 
 @dataclass(frozen=True)
 class AlsConfig:
-    mu: float = 3e-3           # regularization weight; stable range [1e-3, 1e-2]
     max_iters: int = 500
     tol: float = 1e-6          # relative change of stacked factors
     k_upper: int = 8           # component budget K for the regularized solver
-    prune_threshold: float = 1e-2
     seed: int = 0
-    restarts: int = 3
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.k_upper < 1:
@@ -60,7 +58,6 @@ class CpResult:
     objective_trace: list[float] = field(default_factory=list)
     estimated_rank: int = 0
     converged: bool = True
-    rank_deficient: bool = False
 
     @property
     def final_objective(self) -> float:
@@ -76,18 +73,13 @@ def _init_factors(rng: np.random.Generator, dims, rank: int):
     return out
 
 
-def _ls_update(Yn_T: np.ndarray, V: np.ndarray, mu: float) -> tuple[np.ndarray, bool]:
+def _ls_update(Yn_T: np.ndarray, V: np.ndarray, mu: float) -> np.ndarray:
     """Solve min_F ||Yn_T - V F^T||^2 + mu ||F||^2 via the normal equations."""
     G = V.conj().T @ V
     scale = max(np.trace(G).real / G.shape[0], 1e-300)
-    flagged = False
-    if mu == 0.0:
-        w = np.linalg.eigvalsh(G)
-        if w[0] < RANK_DEFICIENT_TOL * w[-1]:
-            flagged = True
     Greg = G + (mu + RIDGE_FLOOR * scale) * np.eye(G.shape[0])
     Ft = np.linalg.solve(Greg, V.conj().T @ Yn_T)
-    return Ft.T, flagged
+    return Ft.T
 
 
 def _fit(Y: ComplexTensor3, A, B, C) -> float:
@@ -112,7 +104,7 @@ def _als_core(
     Y2t = unfold(Y, 2).T
     Y3t = unfold(Y, 3).T
     best: CpResult | None = None
-    n_restarts = 1 if init is not None else max(cfg.restarts, 1)
+    n_restarts = 1 if init is not None else RESTARTS
     for restart in range(n_restarts):
         if init is not None:
             A, B, C = init.A.copy(), init.B.copy(), init.C.copy()
@@ -120,15 +112,13 @@ def _als_core(
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, restart]))
             A, B, C = _init_factors(rng, Y.dims, rank)
         trace = [_objective(Y, A, B, C, mu)]
-        flagged = False
         converged = False
         it = 0
         for it in range(1, cfg.max_iters + 1):
             prev = (A, B, C)
-            A, f1 = _ls_update(Y1t, khatri_rao(C, B), mu)
-            B, f2 = _ls_update(Y2t, khatri_rao(C, A), mu)
-            C, f3 = _ls_update(Y3t, khatri_rao(B, A), mu)
-            flagged |= f1 or f2 or f3
+            A = _ls_update(Y1t, khatri_rao(C, B), mu)
+            B = _ls_update(Y2t, khatri_rao(C, A), mu)
+            C = _ls_update(Y3t, khatri_rao(B, A), mu)
             trace.append(_objective(Y, A, B, C, mu))
             num = sum(np.linalg.norm(M - Mp) for M, Mp in zip((A, B, C), prev))
             den = sum(np.linalg.norm(M) for M in prev) + 1e-30
@@ -141,7 +131,6 @@ def _als_core(
             objective_trace=trace,
             estimated_rank=rank,
             converged=converged,
-            rank_deficient=flagged,
         )
         if best is None or res.final_objective < best.final_objective:
             best = res
@@ -208,12 +197,11 @@ def als_known_rank(Y: ComplexTensor3, L: int, cfg: AlsConfig | None = None) -> C
     if frobenius_norm(Y) == 0.0:
         raise ValueError("input tensor is zero")
     cfg = cfg or AlsConfig()
-    warm_mu = cfg.mu if cfg.mu > 0 else 3e-3
     # the ridge weight is calibrated to unit signal energy; warm up on a
     # normalized copy and push the scale back through one factor
     scale = frobenius_norm(Y)
     warm_cfg = replace(cfg, max_iters=min(cfg.max_iters, WARMUP_ITERS))
-    warm = _als_core(ComplexTensor3(Y.data / scale), L, warm_cfg, mu=warm_mu)
+    warm = _als_core(ComplexTensor3(Y.data / scale), L, warm_cfg, mu=MU)
     init = FactorTriple(warm.factors.A, warm.factors.B, warm.factors.C * scale)
     # the pencil init is exact on clean identifiable data but fragile under
     # noise at high rank; keep whichever starting point already fits better
@@ -227,12 +215,9 @@ def als_known_rank(Y: ComplexTensor3, L: int, cfg: AlsConfig | None = None) -> C
 
 def component_energies(F: FactorTriple) -> np.ndarray:
     """z_k = Frobenius norm of the k-th rank-one component."""
-    z = (np.linalg.norm(F.A, axis=0)
-         * np.linalg.norm(F.B, axis=0)
-         * np.linalg.norm(F.C, axis=0))
-    if F.weights is not None:
-        z = z * F.weights
-    return z
+    return (np.linalg.norm(F.A, axis=0)
+            * np.linalg.norm(F.B, axis=0)
+            * np.linalg.norm(F.C, axis=0))
 
 
 def prune_components(F: FactorTriple, threshold: float) -> tuple[FactorTriple, np.ndarray]:
@@ -257,10 +242,8 @@ def als_regularized(Y: ComplexTensor3, cfg: AlsConfig | None = None) -> CpResult
     cfg = cfg or AlsConfig()
     if frobenius_norm(Y) == 0.0:
         raise ValueError("input tensor is zero")
-    res = _als_core(Y, cfg.k_upper, cfg, mu=cfg.mu)
-    pruned, keep = prune_components(res.factors, cfg.prune_threshold)
+    res = _als_core(Y, cfg.k_upper, cfg, mu=MU)
+    pruned, keep = prune_components(res.factors, PRUNE_THRESHOLD)
     rank = int(np.sum(keep))
-    if cfg.mu > 0:
-        polish = _als_core(Y, rank, cfg, mu=0.0, init=pruned)
-        pruned = polish.factors
-    return replace(res, factors=pruned, estimated_rank=rank)
+    polish = _als_core(Y, rank, cfg, mu=0.0, init=pruned)
+    return replace(res, factors=polish.factors, estimated_rank=rank)

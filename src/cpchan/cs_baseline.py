@@ -75,7 +75,6 @@ class CsProblem:
 @dataclass(frozen=True)
 class CsResult:
     channels: list[np.ndarray]
-    d_hat: np.ndarray
     supports: list[np.ndarray]
     nmse_total: float | None = None
     nmse_per_user: list[float] | None = None
@@ -145,5 +144,5 @@ def solve_cs(
         H_true = assemble_all(channel_truth)
         nm_total = nmse(H_true, channels)
         nm_users = [nmse([Ht], [Hh]) for Ht, Hh in zip(H_true, channels)]
-    return CsResult(channels, d_hat, supports, nm_total, nm_users,
+    return CsResult(channels, supports, nm_total, nm_users,
                     runtime, sol.converged, sol.iterations)

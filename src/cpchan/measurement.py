@@ -28,7 +28,6 @@ from .training_design import TrainingDesign
 class MeasurementTensor:
     y: ComplexTensor3           # m_bs x t_prime x t
     snr_db: float | None = None
-    seed: int | None = None
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -41,8 +40,8 @@ def ideal_factors(channel: GeometricChannel, design: TrainingDesign):
     gains = np.array([p.gain for p in paths])
     sin_aoa = np.array([np.sin(p.aoa) for p in paths])
     sin_aod = np.array([np.sin(p.aod) for p in paths])
-    A_bs = steering_from_sin(sin_aoa, channel.n_bs, channel.d_over_lambda)
-    A_ms = steering_from_sin(sin_aod, channel.n_ms, channel.d_over_lambda)
+    A_bs = steering_from_sin(sin_aoa, channel.n_bs)
+    A_ms = steering_from_sin(sin_aod, channel.n_ms)
     A_Q = (design.Q.T @ A_bs) * gains[None, :]
     A_P = design.P.T @ A_ms
     return A_Q, A_P, design.S_L
@@ -63,7 +62,7 @@ def simulate(
     """Noiseless tensor plus (optionally) noise at an exact realized SNR."""
     X = noiseless_tensor(channel, design)
     if snr_db is None:
-        return MeasurementTensor(X, None, seed)
+        return MeasurementTensor(X, None)
     sig = frobenius_norm(X)
     if sig == 0.0:
         raise ValueError("cannot set a finite SNR on an all-zero signal")
@@ -71,7 +70,7 @@ def simulate(
         rng = np.random.default_rng(seed)
     W = rng.standard_normal(X.dims) + 1j * rng.standard_normal(X.dims)
     W *= sig / (np.linalg.norm(W) * 10 ** (snr_db / 20))
-    return MeasurementTensor(ComplexTensor3(X.data + W), float(snr_db), seed)
+    return MeasurementTensor(ComplexTensor3(X.data + W), float(snr_db))
 
 
 def noise_std_per_entry(m: MeasurementTensor) -> float:
@@ -83,23 +82,3 @@ def noise_std_per_entry(m: MeasurementTensor) -> float:
     # negligible and only an order-correct scale is needed downstream
     noise2 = np.linalg.norm(m.y.data) ** 2 / (1.0 + 10 ** (m.snr_db / 10))
     return float(np.sqrt(noise2 / n_entries))
-
-
-def save_measurement(m: MeasurementTensor, path) -> None:
-    np.savez_compressed(
-        path,
-        data=m.y.data,
-        snr_db=np.nan if m.snr_db is None else m.snr_db,
-        seed=-1 if m.seed is None else m.seed,
-    )
-
-
-def load_measurement(path) -> MeasurementTensor:
-    z = np.load(path)
-    snr = float(z["snr_db"])
-    seed = int(z["seed"])
-    return MeasurementTensor(
-        ComplexTensor3(z["data"]),
-        None if np.isnan(snr) else snr,
-        None if seed < 0 else seed,
-    )

@@ -196,9 +196,8 @@ def grid_responses(design, grid: AngleGrid):
     """Compressed steering responses (G_Q = Q^T a_bs over the AoA grid,
     G_P = P^T a_ms over the AoD grid)."""
     from .channel_sim import steering_from_sin
-    d = 0.5
-    G_Q = design.Q.T @ steering_from_sin(grid.sin_aoa, design.n_bs, d)
-    G_P = design.P.T @ steering_from_sin(grid.sin_aod, design.n_ms, d)
+    G_Q = design.Q.T @ steering_from_sin(grid.sin_aoa, design.n_bs)
+    G_P = design.P.T @ steering_from_sin(grid.sin_aod, design.n_ms)
     return G_Q, G_P
 
 

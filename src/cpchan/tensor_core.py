@@ -20,7 +20,7 @@ Conventions (fixed; all identities in the test suite are checked against them):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,16 +55,12 @@ class ComplexTensor3:
 
 @dataclass(frozen=True)
 class FactorTriple:
-    """CP factor matrices (A, B, C) with optional per-column weights.
-
-    All three matrices must share the same column count R.  When ``weights``
-    is None an all-ones weight vector is implied (norms absorbed into A).
-    """
+    """CP factor matrices (A, B, C) sharing the column count R; each
+    component's scale lives in its columns."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    weights: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         A, B, C = (np.array(m, dtype=np.complex128, order="C")
@@ -76,20 +72,11 @@ class FactorTriple:
             raise ValueError(
                 f"factor column counts differ: {A.shape[1]}, {B.shape[1]}, {C.shape[1]}"
             )
-        w = self.weights
-        if w is not None:
-            w = np.array(w, dtype=np.float64)
-            if w.shape != (A.shape[1],):
-                raise ValueError("weights length must equal the column count")
-            if np.any(w < 0):
-                raise ValueError("weights must be nonnegative")
-            w.setflags(write=False)
         for m in (A, B, C):
             m.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
-        object.__setattr__(self, "weights", w)
 
     @property
     def rank(self) -> int:
@@ -149,12 +136,11 @@ def khatri_rao(A, B) -> np.ndarray:
 
 
 def compose(F: FactorTriple) -> ComplexTensor3:
-    """Assemble the dense tensor  X_ijk = sum_r w_r A_ir B_jr C_kr."""
+    """Assemble the dense tensor  X_ijk = sum_r A_ir B_jr C_kr."""
     I1, I2, I3 = F.dims
     if F.rank == 0:
         return ComplexTensor3(np.zeros((I1, I2, I3), dtype=np.complex128))
-    A = F.A if F.weights is None else F.A * F.weights[None, :]
-    arr = np.einsum("ir,jr,kr->ijk", A, F.B, F.C, optimize=True)
+    arr = np.einsum("ir,jr,kr->ijk", F.A, F.B, F.C, optimize=True)
     return ComplexTensor3(arr)
 
 

@@ -14,7 +14,6 @@ SNR reference).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -289,8 +288,8 @@ def check_uniqueness(design: TrainingDesign, channel) -> UniquenessReport:
     paths = channel.flat_paths()
     sin_aoa = np.array([np.sin(p.aoa) for p in paths])
     sin_aod = np.array([np.sin(p.aod) for p in paths])
-    A_Q = design.Q.T @ steering_from_sin(sin_aoa, channel.n_bs, channel.d_over_lambda)
-    A_P = design.P.T @ steering_from_sin(sin_aod, channel.n_ms, channel.d_over_lambda)
+    A_Q = design.Q.T @ steering_from_sin(sin_aoa, channel.n_bs)
+    A_P = design.P.T @ steering_from_sin(sin_aod, channel.n_ms)
     ppu = channel.paths_per_user
     U = channel.n_users
     k_s = krank(design.S)
@@ -309,43 +308,3 @@ def check_uniqueness(design: TrainingDesign, channel) -> UniquenessReport:
         passed = dim_ok and lhs >= rhs
         regime = "multi_path"
     return UniquenessReport(regime, k_aq, k_ap, k_s, lhs, rhs, lhs >= rhs, dim_ok, passed)
-
-
-# ---------------------------------------------------------------------------
-# serialization (shares the channel container style)
-# ---------------------------------------------------------------------------
-
-def _mat_to_lists(M: np.ndarray) -> dict:
-    return {"re": M.real.tolist(), "im": M.imag.tolist()}
-
-
-def _mat_from_lists(d: dict) -> np.ndarray:
-    return np.array(d["re"]) + 1j * np.array(d["im"])
-
-
-def design_to_dict(design: TrainingDesign) -> dict:
-    return {
-        "P": _mat_to_lists(design.P),
-        "Q": _mat_to_lists(design.Q),
-        "S": _mat_to_lists(design.S),
-        "paths_per_user": design.paths_per_user,
-    }
-
-
-def design_from_dict(d: dict) -> TrainingDesign:
-    return TrainingDesign(
-        P=_mat_from_lists(d["P"]),
-        Q=_mat_from_lists(d["Q"]),
-        S=_mat_from_lists(d["S"]),
-        O=expansion_matrix(d["paths_per_user"]),
-    )
-
-
-def save_design(design: TrainingDesign, path) -> None:
-    with open(path, "w") as f:
-        json.dump(design_to_dict(design), f)
-
-
-def load_design(path) -> TrainingDesign:
-    with open(path) as f:
-        return design_from_dict(json.load(f))

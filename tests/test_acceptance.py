@@ -131,7 +131,7 @@ def test_rank_estimation_accuracy(true_rank):
         W *= frobenius_norm(Y) / np.linalg.norm(W) / 10 ** (30 / 20)
         noisy = ComplexTensor3(Y.data + W)
         noisy = ComplexTensor3(noisy.data / frobenius_norm(noisy))
-        res = als_regularized(noisy, AlsConfig(k_upper=12, mu=3e-3, max_iters=500))
+        res = als_regularized(noisy, AlsConfig(k_upper=12, max_iters=500))
         correct += int(res.estimated_rank == true_rank)
     assert correct >= 0.9 * n_trials
 

@@ -1,11 +1,15 @@
 """Benchmark harness: config handling, reproducibility, CSV output."""
 
+import csv
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cpchan import bench
+from cpchan import bench, cli
 from cpchan.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -59,6 +63,19 @@ class TestConfig:
     def test_total_paths(self):
         assert ExperimentConfig(**TINY).total_paths == 2
 
+    def test_unknown_key_is_named(self):
+        with pytest.raises(ValueError, match="als_mu"):
+            config_from_dict({**TINY, "als_mu": 3e-3})
+
+    def test_readme_config_schema_lists_every_field(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("## Config schema", 1)[1].split("\n## ", 1)[0]
+        keys = set()
+        for line in table.splitlines():
+            if line.startswith("| `"):
+                keys |= set(re.findall(r"`(\w+)`", line.split("|")[1]))
+        assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
 
 class TestRunTrial:
     def test_deterministic_given_seeds(self):
@@ -98,6 +115,15 @@ class TestRunTrial:
         with pytest.raises(TypeError):
             run_trial(cfg, 0, 0)
 
+    def test_uniqueness_past_krank_limit_is_unknown(self):
+        # 21 single-path users on 6 beams: the steering k-rank needs an
+        # exhaustive search past its limit, which must not stop the trial
+        cfg = ExperimentConfig(**{**TINY, "n_users": 21, "paths_per_user": (1,) * 21},
+                               methods=("cs_grid1",))
+        (row,) = run_trial(cfg, 0, 0)
+        assert row.uniqueness == "unknown"
+        assert row.status == "ok"
+
     def test_different_trials_get_different_tensors(self):
         cfg = ExperimentConfig(**{**TINY, "trials": 2}, methods=("cs_grid1",))
         h0 = run_trial(cfg, 0, 0)[0].tensor_sha256
@@ -132,6 +158,29 @@ class TestRunSweep:
         header = b1.decode().splitlines()[0]
         assert header == ",".join(CSV_HEADER)
 
+    def test_failed_trials_are_counted_in_summaries(self, tmp_path, monkeypatch, capsys):
+        solve_cs = bench.cs_baseline.solve_cs
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            if len(calls) <= 3:   # both trials at 10 dB, the first at 30 dB
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return solve_cs(*args, **kwargs)
+
+        monkeypatch.setattr(bench.cs_baseline, "solve_cs", flaky)
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg_path.write_text(json.dumps({
+            **TINY, "trials": 2, "methods": ["cs_grid1"],
+            "sweep_variable": "snr_db", "sweep_values": [10.0, 30.0]}))
+        assert cli.main(["run", str(cfg_path), "--out", str(out), "--check-trend"]) == 1
+        with open(out, newline="") as f:
+            summ = {float(r["sweep_value"]): r for r in csv.DictReader(f)
+                    if r["method"] == "summary:cs_grid1"}
+        assert summ[10.0]["nmse"] == "" and summ[10.0]["status"] == "n=0;failed=2"
+        assert summ[30.0]["nmse"] != "" and summ[30.0]["status"] == "n=1;failed=1"
+        assert "mean_nmse=none" in capsys.readouterr().out
+
     def test_thread_pool_matches_serial(self, tmp_path):
         cfg = ExperimentConfig(**{**TINY, "trials": 2}, methods=("cs_grid1",))
         serial = run_sweep(cfg)
@@ -158,3 +207,11 @@ class TestTrendHelper:
     def test_rising_trend_fails(self):
         rows = self.rows_from_means({0.0: 0.01, 10.0: 0.1, 20.0: 1.0})
         assert not monotone_trend_ok(rows, "m")
+
+
+class TestCheckUniquenessCli:
+    def test_scene_past_krank_limit_exits_nonzero(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "n_users": 21, "paths_per_user": [1] * 21}))
+        assert cli.main(["check-uniqueness", str(path)]) == 1
+        assert "exhaustive search limit" in capsys.readouterr().err

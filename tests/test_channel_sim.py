@@ -6,40 +6,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpchan.channel_sim import (
+    CARRIER_HZ,
+    DISTANCE_M,
     SPEED_OF_LIGHT,
     GeometricChannel,
     PathParams,
     assemble,
     assemble_all,
-    channel_from_dict,
-    channel_to_dict,
-    load_channel,
     path_gain_variance,
     sample_channel,
-    save_channel,
-    steering_bs,
-    steering_ms,
+    steering_from_sin,
 )
+
+
+def steering(theta, n):
+    """Array response at angle theta (both sides share the ULA form)."""
+    return steering_from_sin(np.sin(theta), n)
 
 
 class TestSteering:
     def test_theta_zero_all_ones(self):
         for n in (1, 4, 16):
-            np.testing.assert_allclose(steering_bs(0.0, n), np.full(n, 1 / np.sqrt(n)), atol=1e-14)
+            np.testing.assert_allclose(steering(0.0, n), np.full(n, 1 / np.sqrt(n)), atol=1e-14)
 
     def test_two_element_broadside(self):
-        v = steering_bs(np.pi / 2, 2, d_over_lambda=0.5)
+        v = steering(np.pi / 2, 2)
         np.testing.assert_allclose(v, np.array([1, -1]) / np.sqrt(2), atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(theta=st.floats(0, 2 * np.pi), n=st.integers(1, 64))
     def test_unit_norm(self, theta, n):
-        assert np.linalg.norm(steering_bs(theta, n)) == pytest.approx(1.0)
-        assert np.linalg.norm(steering_ms(theta, n)) == pytest.approx(1.0)
+        assert np.linalg.norm(steering(theta, n)) == pytest.approx(1.0)
 
     def test_zero_elements_rejected(self):
         with pytest.raises(ValueError):
-            steering_bs(0.0, 0)
+            steering(0.0, 0)
 
 
 class TestPathGainVariance:
@@ -71,9 +72,9 @@ class TestSampleChannel:
         # empirical variance over 1e5 draws within 5% of the closed form
         rng = np.random.default_rng(2)
         n_draws = 100_000
-        ch = sample_channel(rng, 1, (n_draws,), 2, 2, carrier_hz=28e9, distance_m=50.0)
+        ch = sample_channel(rng, 1, (n_draws,), 2, 2)
         gains = np.array([p.gain for p in ch.users[0]])
-        target = path_gain_variance(2, 2, 28e9, 50.0)
+        target = path_gain_variance(2, 2, CARRIER_HZ, DISTANCE_M)
         assert np.mean(np.abs(gains) ** 2) == pytest.approx(target, rel=0.05)
         assert abs(np.mean(gains)) < 3 * np.sqrt(target / n_draws)
 
@@ -91,7 +92,7 @@ class TestAssemble:
             users=((PathParams(1.0 + 0j, 0.3, 1.1),),), n_bs=8, n_ms=4
         )
         H = assemble(ch, 0)
-        expected = np.outer(steering_bs(0.3, 8), steering_ms(1.1, 4))
+        expected = np.outer(steering(0.3, 8), steering(1.1, 4))
         np.testing.assert_allclose(H, expected, atol=1e-14)
         assert np.linalg.matrix_rank(H) == 1
 
@@ -105,7 +106,7 @@ class TestAssemble:
         ch = sample_channel(np.random.default_rng(3), 2, (2, 3), 8, 4)
         for u in range(2):
             expected = sum(
-                p.gain * np.outer(steering_bs(p.aoa, 8), steering_ms(p.aod, 4))
+                p.gain * np.outer(steering(p.aoa, 8), steering(p.aod, 4))
                 for p in ch.users[u]
             )
             np.testing.assert_allclose(assemble(ch, u), expected, atol=1e-14)
@@ -136,22 +137,6 @@ class TestQuasiOrthogonality:
                 # keep sin-domain separation bounded away from zero
                 if abs(np.sin(t1) - np.sin(t2)) < 0.2:
                     continue
-                vals.append(abs(steering_bs(t1, n).conj() @ steering_bs(t2, n)))
+                vals.append(abs(steering(t1, n).conj() @ steering(t2, n)))
             means[n] = np.mean(vals)
         assert means[64] < means[16] < 0.5
-
-
-class TestSerialization:
-    def test_round_trip_dict(self):
-        ch = sample_channel(np.random.default_rng(7), 2, (1, 2), 8, 4)
-        ch2 = channel_from_dict(channel_to_dict(ch))
-        for Ha, Hb in zip(assemble_all(ch), assemble_all(ch2)):
-            np.testing.assert_allclose(Ha, Hb, atol=1e-15)
-
-    def test_round_trip_file(self, tmp_path):
-        ch = sample_channel(np.random.default_rng(8), 2, (2, 2), 8, 4)
-        f = tmp_path / "chan.json"
-        save_channel(ch, f)
-        ch2 = load_channel(f)
-        for Ha, Hb in zip(assemble_all(ch), assemble_all(ch2)):
-            np.testing.assert_allclose(Ha, Hb, atol=1e-15)

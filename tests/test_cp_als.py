@@ -124,13 +124,6 @@ class TestComponentUtilities:
             one = FactorTriple(F.A[:, k:k + 1], F.B[:, k:k + 1], F.C[:, k:k + 1])
             assert z[k] == pytest.approx(frobenius_norm(compose(one)), rel=1e-12)
 
-    def test_weights_scale_energies(self):
-        rng = np.random.default_rng(21)
-        F = random_factors(rng, (5, 4, 3), 2, unit_norm=True)
-        Fw = FactorTriple(F.A, F.B, F.C, weights=np.array([2.0, 0.5]))
-        np.testing.assert_allclose(component_energies(Fw),
-                                   component_energies(F) * [2.0, 0.5])
-
     def test_prune_drops_negligible_components(self):
         rng = np.random.default_rng(22)
         F = random_factors(rng, (5, 4, 3), 3, unit_norm=True)

@@ -1,4 +1,4 @@
-"""Layered-pilot measurement simulation: tensor model, SNR, serialization."""
+"""Layered-pilot measurement simulation: tensor model and SNR."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,8 @@ from cpchan.channel_sim import assemble_all, sample_channel
 from cpchan.measurement import (
     MeasurementTensor,
     ideal_factors,
-    load_measurement,
     noise_std_per_entry,
     noiseless_tensor,
-    save_measurement,
     simulate,
 )
 from cpchan.tensor_core import ComplexTensor3, FactorTriple, compose
@@ -66,6 +64,13 @@ class TestNoiselessModel:
         assert m.snr_db is None
         np.testing.assert_array_equal(m.y.data, noiseless_tensor(channel, design).data)
 
+    def test_dims_property(self):
+        channel, design = small_scene(seed=13)
+        m = simulate(channel, design, None)
+        assert m.dims == (design.m_bs, design.t_prime, design.t)
+        assert isinstance(m, MeasurementTensor)
+        assert isinstance(m.y, ComplexTensor3)
+
 
 class TestNoise:
     @pytest.mark.parametrize("snr_db", [0.0, 10.0, 30.0])
@@ -103,34 +108,6 @@ class TestNoise:
         zero = GeometricChannel(
             tuple(tuple(PathParams(0j, p.aoa, p.aod) for p in paths)
                   for paths in channel.users),
-            channel.n_bs, channel.n_ms, channel.d_over_lambda)
+            channel.n_bs, channel.n_ms)
         with pytest.raises(ValueError):
             simulate(zero, design, 10.0)
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        channel, design = small_scene(seed=10)
-        m = simulate(channel, design, 25.0, seed=11)
-        path = tmp_path / "meas.npz"
-        save_measurement(m, path)
-        m2 = load_measurement(path)
-        np.testing.assert_array_equal(m.y.data, m2.y.data)
-        assert m2.snr_db == 25.0
-        assert m2.seed == 11
-
-    def test_round_trip_noiseless_no_seed(self, tmp_path):
-        channel, design = small_scene(seed=12)
-        m = simulate(channel, design, None)
-        path = tmp_path / "meas.npz"
-        save_measurement(m, path)
-        m2 = load_measurement(path)
-        assert m2.snr_db is None and m2.seed is None
-        np.testing.assert_array_equal(m.y.data, m2.y.data)
-
-    def test_dims_property(self):
-        channel, design = small_scene(seed=13)
-        m = simulate(channel, design, None)
-        assert m.dims == (design.m_bs, design.t_prime, design.t)
-        assert isinstance(m, MeasurementTensor)
-        assert isinstance(m.y, ComplexTensor3)

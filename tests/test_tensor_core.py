@@ -165,15 +165,6 @@ class TestCompose:
                     expected[i, j, k] = np.sum(F.A[i] * F.B[j] * F.C[k])
         np.testing.assert_allclose(X.data, expected, atol=1e-12)
 
-    def test_weights(self):
-        rng = np.random.default_rng(9)
-        F = random_factors(rng, (2, 3, 4), 2)
-        w = np.array([2.0, 0.5])
-        Fw = FactorTriple(F.A, F.B, F.C, weights=w)
-        np.testing.assert_allclose(
-            compose(Fw).data, compose(FactorTriple(F.A * w, F.B, F.C)).data, atol=1e-12
-        )
-
 
 class TestNorms:
     def test_zero(self):
@@ -271,13 +262,12 @@ class TestTypeInvariants:
         rng = np.random.default_rng(0)
         data = rng.standard_normal((2, 3, 4)) + 0j
         A, B, C = (rng.standard_normal((d, 2)) + 0j for d in (2, 3, 4))
-        weights = np.ones(2)
         P, Q, S = (rng.standard_normal((4, 2)) + 0j for _ in range(3))
         O = expansion_matrix((1, 1))
         X = ComplexTensor3(data)
-        F = FactorTriple(A, B, C, weights)
+        F = FactorTriple(A, B, C)
         TrainingDesign(P=P, Q=Q, S=S, O=O)
-        for arr in (data, A, B, C, weights, P, Q, S, O):
+        for arr in (data, A, B, C, P, Q, S, O):
             assert arr.flags.writeable
         data[0, 0, 0] = 5.0
         A[0, 0] = 5.0

@@ -12,18 +12,14 @@ from cpchan.training_design import (
     TrainingDesign,
     build_design,
     check_uniqueness,
-    design_from_dict,
-    design_to_dict,
     dft_matrix,
     expansion_matrix,
     krank,
     krank_partitioned,
-    load_design,
     minimize_coherence,
     mutual_coherence,
     pilot_matrix,
     random_unit_modulus,
-    save_design,
     welch_bound,
 )
 
@@ -260,16 +256,3 @@ class TestDesignInvariants:
     def test_coherence_in_unit_interval(self, t, u):
         S = pilot_matrix(np.random.default_rng(17), t, u)
         assert 0.0 <= mutual_coherence(S) <= 1.0 + 1e-12
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(18)
-        d = build_design(rng, 16, 8, 8, 8, 4, (1, 2, 2))
-        d2 = design_from_dict(design_to_dict(d))
-        np.testing.assert_allclose(d.P, d2.P, atol=1e-15)
-        np.testing.assert_allclose(d.S_L, d2.S_L, atol=1e-15)
-        f = tmp_path / "design.json"
-        save_design(d, f)
-        d3 = load_design(f)
-        np.testing.assert_allclose(d.Q, d3.Q, atol=1e-15)
