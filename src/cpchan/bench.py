@@ -155,12 +155,22 @@ def _pipeline_config(cfg: ExperimentConfig, known_rank: int | None, als_seed: in
     )
 
 
-def run_trial(cfg: ExperimentConfig, point_idx: int, trial: int) -> list[ResultRow]:
-    """One channel/design/noise realization, all methods on the same tensor."""
-    point_value = cfg.sweep_values[point_idx] if cfg.sweep_variable else (cfg.snr_db or 0.0)
-    pcfg = cfg.at_point(point_value) if cfg.sweep_variable else cfg
-    sweep_var = cfg.sweep_variable or "snr_db"
+def point_indices(cfg: ExperimentConfig) -> range:
+    return range(len(cfg.sweep_values)) if cfg.sweep_variable else range(1)
 
+
+def _point_value(cfg: ExperimentConfig, point_idx: int) -> float:
+    return float(cfg.sweep_values[point_idx]) if cfg.sweep_variable else float(cfg.snr_db or 0.0)
+
+
+def draw_scene(cfg: ExperimentConfig, point_idx: int, trial: int):
+    """The scene that trial ``trial`` of sweep point ``point_idx`` evaluates.
+
+    Returns (config pinned to the point, channel, design, noise generator,
+    ALS-seed generator).  ``run_trial`` and ``cpchan check-uniqueness`` both
+    draw through here, so the CLI checks the scene the trials evaluate.
+    """
+    pcfg = cfg.at_point(_point_value(cfg, point_idx))
     ss = _trial_seed(cfg.seed, point_idx, trial)
     rng_channel, rng_design, rng_noise, rng_als = (
         np.random.default_rng(s) for s in ss.spawn(4))
@@ -169,13 +179,20 @@ def run_trial(cfg: ExperimentConfig, point_idx: int, trial: int) -> list[ResultR
         # only the noise (and solver seeding) varies across trials
         fixed = np.random.SeedSequence([cfg.seed, 999_983]).spawn(2)
         rng_channel, rng_design = (np.random.default_rng(s) for s in fixed)
-    als_seed = int(rng_als.integers(2**31))
-
     channel = sample_channel(
         rng_channel, pcfg.n_users, pcfg.paths_per_user, pcfg.n_bs, pcfg.n_ms)
     design = build_design(
         rng_design, pcfg.n_bs, pcfg.n_ms, pcfg.m_bs, pcfg.t_prime, pcfg.t,
         pcfg.paths_per_user)
+    return pcfg, channel, design, rng_noise, rng_als
+
+
+def run_trial(cfg: ExperimentConfig, point_idx: int, trial: int) -> list[ResultRow]:
+    """One channel/design/noise realization, all methods on the same tensor."""
+    point_value = _point_value(cfg, point_idx)
+    sweep_var = cfg.sweep_variable or "snr_db"
+    pcfg, channel, design, rng_noise, rng_als = draw_scene(cfg, point_idx, trial)
+    als_seed = int(rng_als.integers(2**31))
     meas = simulate(channel, design, pcfg.snr_db, rng_noise)
     tensor_hash = hashlib.sha256(np.ascontiguousarray(meas.y.data).tobytes()).hexdigest()[:16]
     try:
@@ -189,7 +206,7 @@ def run_trial(cfg: ExperimentConfig, point_idx: int, trial: int) -> list[ResultR
     for method in pcfg.methods:
         base = dict(
             method=method, sweep_variable=sweep_var,
-            sweep_value=float(point_value), trial=trial, seed=cfg.seed,
+            sweep_value=point_value, trial=trial, seed=cfg.seed,
             uniqueness=uniq, tensor_sha256=tensor_hash)
         try:
             if method in ("cpf_known_L", "cpf_regularized"):
@@ -226,7 +243,7 @@ def run_sweep(
     deterministic: bool = False,
 ) -> list[ResultRow]:
     """Run the full sweep; returns data rows followed by summary rows."""
-    points = list(range(len(cfg.sweep_values))) if cfg.sweep_variable else [0]
+    points = point_indices(cfg)
     jobs = [(cfg, p, t) for p in points for t in range(cfg.trials)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -239,7 +256,7 @@ def run_sweep(
     summaries = []
     sweep_var = cfg.sweep_variable or "snr_db"
     for p in points:
-        value = float(cfg.sweep_values[p]) if cfg.sweep_variable else float(cfg.snr_db or 0.0)
+        value = _point_value(cfg, p)
         for method in cfg.methods:
             at_point = [r for r in rows if r.method == method and r.sweep_value == value]
             sel = [r for r in at_point if r.nmse is not None]

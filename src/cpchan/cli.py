@@ -4,11 +4,12 @@
                [--deterministic] [--check-trend]
     cpchan check-uniqueness <config.json> [--seed N]
 
-Exit code is nonzero when the ``--check-trend`` assertion fails (including
-a sweep point whose trials all failed) or when the drawn scene fails the
-uniqueness check or cannot be checked.  The brute-force self-checks
-(tensor algebra, k-rank against exhaustive search, FISTA) live in the test
-suite, ``tests/test_acceptance.py``.
+``check-uniqueness`` reports once per sweep point, on the channel and design
+that trial 0 of that point evaluates.  Exit code is nonzero when the
+``--check-trend`` assertion fails (including a sweep point whose trials all
+failed) or when any point's scene fails the uniqueness check or cannot be
+checked.  The brute-force self-checks (tensor algebra, k-rank against
+exhaustive search, FISTA) live in the test suite, ``tests/test_acceptance.py``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 
 def _cmd_run(args) -> int:
@@ -44,25 +43,27 @@ def _cmd_run(args) -> int:
 
 def _cmd_check_uniqueness(args) -> int:
     from . import bench
-    from .channel_sim import sample_channel
-    from .training_design import build_design, check_uniqueness
+    from .training_design import check_uniqueness
 
     cfg = bench.load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    ss = np.random.SeedSequence([cfg.seed, 0, 0])
-    rng_channel, rng_design = (np.random.default_rng(s) for s in ss.spawn(2))
-    channel = sample_channel(rng_channel, cfg.n_users, cfg.paths_per_user,
-                             cfg.n_bs, cfg.n_ms)
-    design = build_design(rng_design, cfg.n_bs, cfg.n_ms, cfg.m_bs,
-                          cfg.t_prime, cfg.t, cfg.paths_per_user)
-    try:
-        report = check_uniqueness(design, channel)
-    except ValueError as exc:
-        print(f"uniqueness unknown: {exc}", file=sys.stderr)
-        return 1
-    print(report.summary())
-    return 0 if report.passed else 1
+    sweep_var = cfg.sweep_variable or "snr_db"
+    status = 0
+    for p in bench.point_indices(cfg):
+        # the scene trial 0 of this point evaluates
+        pcfg, channel, design, _, _ = bench.draw_scene(cfg, p, 0)
+        label = f"{sweep_var}={getattr(pcfg, sweep_var)}"
+        try:
+            report = check_uniqueness(design, channel)
+        except ValueError as exc:
+            print(f"{label}: uniqueness unknown: {exc}", file=sys.stderr)
+            status = 1
+            continue
+        print(f"{label}: {report.summary()}")
+        if not report.passed:
+            status = 1
+    return status
 
 
 def main(argv=None) -> int:

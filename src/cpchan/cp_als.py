@@ -16,6 +16,13 @@ Two entry points:
   falls below PRUNE_THRESHOLD of the largest are pruned; the surviving count
   is the rank estimate, and exact-LS sweeps at that rank polish the survivors.
 
+A sweep never forms the Gram of a Khatri-Rao product from the product itself:
+kr(C, B)^H kr(C, B) = (C^H C) * (B^H B) (elementwise), so each update solves
+its R x R normal equations from the factor Grams kept across the sweep
+(Kolda & Bader 2009).  The per-sweep fit is the norm of the mode-3 residual
+Y_(3)^T - kr(B, A) C^T, reusing the product the C update formed; only each
+start's first objective composes the dense tensor.
+
 A run without a given starting point keeps the best of RESTARTS seeded random
 starts.  Both record an objective trace (fit, plus the trace penalty for the
 ridge stage) that is non-increasing by construction since every update is an
@@ -73,24 +80,23 @@ def _init_factors(rng: np.random.Generator, dims, rank: int):
     return out
 
 
-def _ls_update(Yn_T: np.ndarray, V: np.ndarray, mu: float) -> np.ndarray:
-    """Solve min_F ||Yn_T - V F^T||^2 + mu ||F||^2 via the normal equations."""
-    G = V.conj().T @ V
-    scale = max(np.trace(G).real / G.shape[0], 1e-300)
-    Greg = G + (mu + RIDGE_FLOOR * scale) * np.eye(G.shape[0])
-    Ft = np.linalg.solve(Greg, V.conj().T @ Yn_T)
-    return Ft.T
-
-
-def _fit(Y: ComplexTensor3, A, B, C) -> float:
-    return frobenius_norm(ComplexTensor3(Y.data - compose(FactorTriple(A, B, C)).data))
-
-
-def _objective(Y, A, B, C, mu) -> float:
-    obj = _fit(Y, A, B, C) ** 2
+def _objective(Y: ComplexTensor3, A, B, C, mu) -> float:
+    """Objective from a dense composed tensor; for one-off evaluations only,
+    the sweeps compute theirs from the mode-3 residual."""
+    obj = np.linalg.norm(Y.data - compose(FactorTriple(A, B, C)).data) ** 2
     if mu > 0:
         obj += mu * sum(np.linalg.norm(M) ** 2 for M in (A, B, C))
     return float(obj)
+
+
+def _gram(M: np.ndarray) -> np.ndarray:
+    return M.conj().T @ M
+
+
+def _ridge_solve(G, V, Yn_T, mu: float, eye) -> np.ndarray:
+    """Solve min_F ||Yn_T - V F^T||^2 + mu ||F||^2, given G = V^H V."""
+    scale = max(np.trace(G).real / G.shape[0], 1e-300)
+    return np.linalg.solve(G + (mu + RIDGE_FLOOR * scale) * eye, V.conj().T @ Yn_T).T
 
 
 def _als_core(
@@ -111,15 +117,26 @@ def _als_core(
         else:
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, restart]))
             A, B, C = _init_factors(rng, Y.dims, rank)
+        eye = np.eye(rank)
+        GB, GC = _gram(B), _gram(C)
         trace = [_objective(Y, A, B, C, mu)]
         converged = False
         it = 0
         for it in range(1, cfg.max_iters + 1):
             prev = (A, B, C)
-            A = _ls_update(Y1t, khatri_rao(C, B), mu)
-            B = _ls_update(Y2t, khatri_rao(C, A), mu)
-            C = _ls_update(Y3t, khatri_rao(B, A), mu)
-            trace.append(_objective(Y, A, B, C, mu))
+            # kr(C, B)^H kr(C, B) = (C^H C) * (B^H B), and cyclically
+            A = _ridge_solve(GC * GB, khatri_rao(C, B), Y1t, mu, eye)
+            GA = _gram(A)
+            B = _ridge_solve(GC * GA, khatri_rao(C, A), Y2t, mu, eye)
+            GB = _gram(B)
+            V3 = khatri_rao(B, A)
+            C = _ridge_solve(GB * GA, V3, Y3t, mu, eye)
+            GC = _gram(C)
+            # mode-3 residual Y_(3)^T - kr(B, A) C^T, reusing the C update's product
+            obj = np.linalg.norm(Y3t - V3 @ C.T) ** 2
+            if mu > 0:
+                obj += mu * (np.trace(GA).real + np.trace(GB).real + np.trace(GC).real)
+            trace.append(float(obj))
             num = sum(np.linalg.norm(M - Mp) for M, Mp in zip((A, B, C), prev))
             den = sum(np.linalg.norm(M) for M in prev) + 1e-30
             if num / den < cfg.tol:

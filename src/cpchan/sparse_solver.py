@@ -107,13 +107,29 @@ class FistaResult:
     converged: bool = True
 
 
-def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    """Complex soft threshold: shrink magnitudes by t, keep phases."""
-    mag = np.abs(v)
-    return v * np.maximum(0.0, 1.0 - t / np.maximum(mag, 1e-300))
+def soft_threshold(v: np.ndarray, t: float, out=None, mag=None) -> np.ndarray:
+    """Complex soft threshold: shrink magnitudes by t, keep phases.
+
+    ``out`` (complex) receives the result and ``mag`` (real) holds the
+    magnitudes; both have v's shape and are allocated when not given.
+    """
+    mag = np.abs(v, out=mag)
+    np.maximum(mag, 1e-300, out=mag)
+    np.divide(t, mag, out=mag)
+    np.subtract(1.0, mag, out=mag)
+    np.maximum(0.0, mag, out=mag)
+    return np.multiply(v, mag, out=out)
 
 
 def fista(A, y, cfg: FistaConfig) -> FistaResult:
+    """FISTA on F(x) = ||y - A x||^2 + lam ||x||_1.
+
+    The coefficient-length vectors live in buffers allocated once per call
+    and updated in place: the iterate, the momentum point, the gradient step
+    (thresholded in place into the next iterate, after which the two swap)
+    and the magnitudes.  The arithmetic is that of the plain allocating
+    loop, operation for operation.
+    """
     op = as_operator(A)
     y = np.asarray(y, dtype=np.complex128).ravel()
     if y.shape[0] != op.shape[0]:
@@ -126,8 +142,12 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
             return FistaResult(np.zeros(op.shape[1], dtype=np.complex128), [0.0], 0, True)
         step = 1.0 / (2.0 * smax**2)
 
-    x = np.zeros(op.shape[1], dtype=np.complex128)
-    z = x.copy()
+    # one block, not three vectors: a single large allocation per call also
+    # keeps the allocator from trimming the heap under the operators'
+    # per-iteration temporaries, which would page-fault them in afresh on
+    # every iteration
+    x, z, v = np.zeros((3, op.shape[1]), dtype=np.complex128)
+    mag = np.empty(op.shape[1])
     ax = np.zeros(op.shape[0], dtype=np.complex128)
     az = ax                      # A z tracked through the linear momentum update
     t_momentum = 1.0
@@ -135,15 +155,22 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
     converged = False
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        grad = 2.0 * op.rmatvec(az - y)
-        x_new = soft_threshold(z - step * grad, cfg.lam * step)
+        # x_new = soft_threshold(z - step * (2 * A^H (A z - y))), built in v
+        np.multiply(2.0, op.rmatvec(az - y), out=v)
+        np.multiply(step, v, out=v)
+        np.subtract(z, v, out=v)
+        x_new = soft_threshold(v, cfg.lam * step, out=v, mag=mag)
         ax_new = op.matvec(x_new)
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2)) / 2.0
         beta = (t_momentum - 1.0) / t_new
-        z = x_new + beta * (x_new - x)
+        # z = x_new + beta * (x_new - x)
+        np.subtract(x_new, x, out=z)
+        np.multiply(beta, z, out=z)
+        np.add(x_new, z, out=z)
         az = ax_new + beta * (ax_new - ax)
-        x, ax, t_momentum = x_new, ax_new, t_new
-        obj = float(np.linalg.norm(y - ax) ** 2 + cfg.lam * np.sum(np.abs(x)))
+        x, v = x_new, x
+        ax, t_momentum = ax_new, t_new
+        obj = float(np.linalg.norm(y - ax) ** 2 + cfg.lam * np.sum(np.abs(x, out=mag)))
         trace.append(obj)
         if abs(trace[-2] - obj) <= cfg.tol * max(abs(trace[-2]), 1e-30):
             converged = True

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpchan import bench, cli
+from cpchan import bench, cli, training_design
 from cpchan.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -21,6 +21,7 @@ from cpchan.bench import (
     run_sweep,
     run_trial,
 )
+from cpchan.training_design import check_uniqueness
 
 TINY = dict(
     n_bs=16, n_ms=8, n_users=2, paths_per_user=(1, 1), m_bs=6, t_prime=6, t=2,
@@ -210,6 +211,33 @@ class TestTrendHelper:
 
 
 class TestCheckUniquenessCli:
+    def test_checks_the_scene_each_point_evaluates(self, tmp_path, monkeypatch, capsys):
+        # a fixed-realization sweep over t: every point's report must be
+        # about the channel and design that its trials evaluate
+        cfg = ExperimentConfig(**TINY, methods=("cs_grid1",), fixed_realization=True,
+                               sweep_variable="t", sweep_values=(2, 3))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
+        seen = []
+
+        def recording_check(design, channel):
+            seen.append((design, channel))
+            return check_uniqueness(design, channel)
+
+        monkeypatch.setattr(bench, "check_uniqueness", recording_check)
+        monkeypatch.setattr(training_design, "check_uniqueness", recording_check)
+        for p in range(2):
+            run_trial(cfg, p, 0)
+        evaluated, seen[:] = list(seen), []
+        assert cli.main(["check-uniqueness", str(path)]) == 0
+        assert len(seen) == len(evaluated) == 2
+        for (d_cli, ch_cli), (d_run, ch_run) in zip(seen, evaluated):
+            assert ch_cli == ch_run
+            for name in ("P", "Q", "S", "O"):
+                np.testing.assert_array_equal(getattr(d_cli, name), getattr(d_run, name))
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in out] == ["t=2", "t=3"]
+
     def test_scene_past_krank_limit_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**TINY, "n_users": 21, "paths_per_user": [1] * 21}))

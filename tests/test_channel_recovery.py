@@ -1,5 +1,10 @@
 """Factor-to-channel recovery: ambiguity resolution, polish, grid refinement."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -218,3 +223,17 @@ class TestEstimateAll:
         zero = MeasurementTensor(ComplexTensor3(np.zeros((6, 5, 2), complex)))
         with pytest.raises(ValueError):
             estimate_all(zero, design)
+
+
+class TestDemoScript:
+    def test_two_user_demo_runs_both_estimators(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "demo_estimation.py"), "--users", "2"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "tensor factorization pipeline  nmse=" in proc.stdout
+        assert "compressed-sensing baseline (128x64 grid)  nmse=" in proc.stdout

@@ -5,15 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpchan import cp_als
 from cpchan.cp_als import (
+    MU,
+    RESTARTS,
+    RIDGE_FLOOR,
     AlsConfig,
+    _als_core,
     _gevd_init,
+    _objective,
     als_known_rank,
     als_regularized,
     component_energies,
     prune_components,
 )
-from cpchan.tensor_core import ComplexTensor3, FactorTriple, compose, frobenius_norm
+from cpchan.tensor_core import (
+    ComplexTensor3,
+    FactorTriple,
+    compose,
+    frobenius_norm,
+    khatri_rao,
+    unfold,
+)
 
 
 def random_factors(rng, dims, rank, unit_norm=False):
@@ -28,6 +41,79 @@ def random_factors(rng, dims, rank, unit_norm=False):
 
 def rel_fit(Y, F):
     return frobenius_norm(ComplexTensor3(Y.data - compose(F).data)) / frobenius_norm(Y)
+
+
+def noisy_tensor(seed, dims, rank, noise=0.05):
+    rng = np.random.default_rng(seed)
+    Y = compose(random_factors(rng, dims, rank, unit_norm=True)).data
+    W = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    Y = Y + noise * np.linalg.norm(Y) * W / np.linalg.norm(W)
+    return ComplexTensor3(Y / np.linalg.norm(Y))
+
+
+def dense_gram_als(Y, init, mu, cfg):
+    """Reference sweep: normal equations on the dense V^H V of each
+    Khatri-Rao product, objective from the composed tensor."""
+    Yts = [unfold(Y, n).T for n in (1, 2, 3)]
+    A, B, C = init.A.copy(), init.B.copy(), init.C.copy()
+
+    def update(Yn_T, V):
+        G = V.conj().T @ V
+        scale = max(np.trace(G).real / G.shape[0], 1e-300)
+        Greg = G + (mu + RIDGE_FLOOR * scale) * np.eye(G.shape[0])
+        return np.linalg.solve(Greg, V.conj().T @ Yn_T).T
+
+    def objective(A, B, C):
+        fit = np.linalg.norm(Y.data - compose(FactorTriple(A, B, C)).data) ** 2
+        return fit + mu * sum(np.linalg.norm(M) ** 2 for M in (A, B, C))
+
+    trace = [objective(A, B, C)]
+    it = 0
+    for it in range(1, cfg.max_iters + 1):
+        prev = (A, B, C)
+        A = update(Yts[0], khatri_rao(C, B))
+        B = update(Yts[1], khatri_rao(C, A))
+        C = update(Yts[2], khatri_rao(B, A))
+        trace.append(objective(A, B, C))
+        num = sum(np.linalg.norm(M - Mp) for M, Mp in zip((A, B, C), prev))
+        den = sum(np.linalg.norm(M) for M in prev) + 1e-30
+        if num / den < cfg.tol:
+            break
+    return FactorTriple(A, B, C), it, trace
+
+
+class TestSweepMatchesDenseGramReference:
+    @pytest.mark.parametrize("dims,rank,fit_rank", [((6, 5, 4), 2, 2), ((8, 7, 4), 3, 5),
+                                                    ((10, 9, 3), 4, 4)])
+    @pytest.mark.parametrize("mu", [MU, 0.0])
+    def test_iterations_factors_and_trace(self, dims, rank, fit_rank, mu):
+        Y = noisy_tensor(40 + rank, dims, rank)
+        init = random_factors(np.random.default_rng(50 + fit_rank), dims, fit_rank)
+        cfg = AlsConfig(max_iters=600)   # long enough for most cases to converge
+        res = _als_core(Y, fit_rank, cfg, mu=mu, init=init)
+        F, iterations, trace = dense_gram_als(Y, init, mu, cfg)
+        assert res.iterations == iterations
+        for got, want in zip((res.factors.A, res.factors.B, res.factors.C), (F.A, F.B, F.C)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(res.objective_trace, trace, rtol=1e-10)
+
+    def test_known_rank_final_objective_is_the_dense_objective(self):
+        Y = noisy_tensor(60, (8, 7, 5), 3)
+        res = als_known_rank(Y, 3, AlsConfig(max_iters=200))
+        F = res.factors
+        assert res.final_objective == pytest.approx(_objective(Y, F.A, F.B, F.C, 0.0), rel=1e-10)
+
+    def test_sweeps_do_not_compose_the_dense_tensor(self, monkeypatch):
+        # one composed objective per start: RESTARTS ridge starts + the polish
+        calls = []
+
+        def counting_compose(F):
+            calls.append(F.rank)
+            return compose(F)
+
+        monkeypatch.setattr(cp_als, "compose", counting_compose)
+        als_regularized(noisy_tensor(61, (6, 5, 4), 2), AlsConfig(k_upper=4, max_iters=50))
+        assert len(calls) <= RESTARTS + 1
 
 
 class TestPencilInit:

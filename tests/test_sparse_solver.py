@@ -13,6 +13,7 @@ from cpchan.sparse_solver import (
     MatrixOperator,
     StackedGridOperator,
     adjoint_mismatch,
+    as_operator,
     build_dictionary,
     fista,
     grid_responses,
@@ -132,7 +133,60 @@ class TestOperators:
         assert g.cell(8 + 3) == (1, 3)  # column i*n_aoa + j -> (aod i, aoa j)
 
 
+def allocating_fista(A, y, cfg):
+    """Reference FISTA loop that allocates every temporary afresh; the
+    buffered solver must reproduce it bit for bit."""
+    op = as_operator(A)
+    y = np.asarray(y, dtype=np.complex128).ravel()
+    step = cfg.step if cfg.step is not None else 1.0 / (2.0 * top_singular_value(op) ** 2)
+
+    def soft(v, t):
+        mag = np.abs(v)
+        return v * np.maximum(0.0, 1.0 - t / np.maximum(mag, 1e-300))
+
+    x = np.zeros(op.shape[1], dtype=np.complex128)
+    z = x.copy()
+    ax = np.zeros(op.shape[0], dtype=np.complex128)
+    az = ax
+    t_momentum = 1.0
+    trace = [float(np.linalg.norm(y) ** 2)]
+    it = 0
+    for it in range(1, cfg.max_iters + 1):
+        grad = 2.0 * op.rmatvec(az - y)
+        x_new = soft(z - step * grad, cfg.lam * step)
+        ax_new = op.matvec(x_new)
+        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2)) / 2.0
+        beta = (t_momentum - 1.0) / t_new
+        z = x_new + beta * (x_new - x)
+        az = ax_new + beta * (ax_new - ax)
+        x, ax, t_momentum = x_new, ax_new, t_new
+        obj = float(np.linalg.norm(y - ax) ** 2 + cfg.lam * np.sum(np.abs(x)))
+        trace.append(obj)
+        if abs(trace[-2] - obj) <= cfg.tol * max(abs(trace[-2]), 1e-30):
+            break
+    return x, trace, it
+
+
 class TestFista:
+    def test_buffered_loop_matches_allocating_reference_bitwise(self):
+        rng = np.random.default_rng(30)
+        A = rng.standard_normal((30, 60)) + 1j * rng.standard_normal((30, 60))
+        x0 = np.zeros(60, dtype=np.complex128)
+        x0[[3, 17, 41]] = [2.0, -1.0 + 0.5j, 1.5j]
+        y_dense = A @ x0 + 0.01 * (rng.standard_normal(30) + 1j * rng.standard_normal(30))
+        stacked = StackedGridOperator(GridDictionaryOperator(small_design(seed=31),
+                                                             AngleGrid(16, 8)), 3)
+        y_stacked = rng.standard_normal(stacked.shape[0]) + 1j * rng.standard_normal(
+            stacked.shape[0])
+        for op, y, cfg in (
+                (A, y_dense, FistaConfig(lam=0.1, max_iters=400, tol=1e-10)),
+                (stacked, y_stacked, FistaConfig(lam=0.05, max_iters=150, tol=1e-7))):
+            res = fista(op, y, cfg)
+            x, trace, iterations = allocating_fista(op, y, cfg)
+            assert np.array_equal(res.x, x)
+            assert res.objective_trace == trace
+            assert res.iterations == iterations
+
     def test_identity_fixed_point(self):
         # for A = I the lasso solution is the soft threshold of y at lam/2
         y = np.array([3.0, 0.2, -1.0 + 1.0j], dtype=np.complex128)
