@@ -45,7 +45,6 @@ from .channel_recovery import (
     PipelineConfig,
     estimate_all,
     nmse,
-    reconstruct_compressed_channel,
     resolve_ambiguity,
 )
 from .cs_baseline import CsProblem, assemble_problem, solve_cs

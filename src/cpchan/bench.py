@@ -160,7 +160,10 @@ def point_indices(cfg: ExperimentConfig) -> range:
 
 
 def _point_value(cfg: ExperimentConfig, point_idx: int) -> float:
-    return float(cfg.sweep_values[point_idx]) if cfg.sweep_variable else float(cfg.snr_db or 0.0)
+    if cfg.sweep_variable:
+        return float(cfg.sweep_values[point_idx])
+    # a noiseless run (snr_db None) is recorded as infinite SNR, not as 0 dB
+    return float("inf") if cfg.snr_db is None else float(cfg.snr_db)
 
 
 def draw_scene(cfg: ExperimentConfig, point_idx: int, trial: int):

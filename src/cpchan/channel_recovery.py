@@ -28,7 +28,6 @@ from .measurement import MeasurementTensor, noise_std_per_entry
 from .sparse_solver import (
     AngleGrid,
     FistaConfig,
-    GridDictionaryOperator,
     StackedGridOperator,
     fista,
     top_singular_value,
@@ -89,19 +88,6 @@ def resolve_ambiguity(S_hat: np.ndarray, S: np.ndarray) -> AmbiguityResolution:
     return AmbiguityResolution(assignment, lam, hist, scores, empty)
 
 
-def reconstruct_compressed_channel(
-    A_Q_hat: np.ndarray,
-    A_P_hat: np.ndarray,
-    res: AmbiguityResolution,
-    u: int,
-) -> np.ndarray:
-    """A_Q_u * diag(lambda_u) * A_P_u^T over the components assigned to user u."""
-    idx = np.flatnonzero(res.assignment == u)
-    if idx.size == 0:
-        return np.zeros((A_Q_hat.shape[0], A_P_hat.shape[0]), dtype=np.complex128)
-    return (A_Q_hat[:, idx] * res.lambda3[idx][None, :]) @ A_P_hat[:, idx].T
-
-
 def pilot_constrained_polish(
     Y: ComplexTensor3,
     C: np.ndarray,
@@ -142,7 +128,7 @@ def _support_from_magnitudes(mag: np.ndarray, n_measurements: int) -> np.ndarray
 
 
 def _support_and_refit(
-    op: GridDictionaryOperator,
+    op: StackedGridOperator,
     z: np.ndarray,
     x: np.ndarray,
     noise_std: float = 0.0,
@@ -265,16 +251,16 @@ def refine_channels(
     """
     Z = np.asfortranarray(Z, dtype=np.complex128)
     n_users = Z.shape[1]
-    op = GridDictionaryOperator(design, cfg.grid)
+    op = StackedGridOperator(design, cfg.grid)
     norms = op.column_norms()
     z_all = Z.ravel(order="F")
     lam = refinement_lambda(z_all, noise_std, cfg.grid.size, LAMBDA_SCALE)
     # all users share the dictionary, so the per-user solves batch into one
     # block-diagonal FISTA run on the column-normalized operator
-    op_unit = GridDictionaryOperator(design, cfg.grid, normalize_columns=True)
-    stacked = StackedGridOperator(op_unit, n_users)
+    stacked = StackedGridOperator(design, cfg.grid, n_users, normalize_columns=True)
     # the stacked operator is block diagonal with identical blocks, so its
-    # top singular value is the single block's; estimate it on the block
+    # top singular value is the single block's; estimate it on one block
+    op_unit = StackedGridOperator(design, cfg.grid, normalize_columns=True)
     step = 1.0 / (2.0 * top_singular_value(op_unit) ** 2)
     sol = fista(
         stacked,

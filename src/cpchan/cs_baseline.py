@@ -9,8 +9,10 @@ so with y = vec(Y_(3)^T) and Phi = (P^T kron Q^T) Sigma_bar,
     y = (S kron Phi) d + w,      d = vec(D_bar),
 
 one large l1-regularized problem over all users' grid coefficients.  The
-(S kron Phi) operator is applied matrix-free through its Kronecker factors;
-the dense matrix is only assembled in oracle tests at toy sizes.
+(S kron Phi) operator is the grid dictionary operator shared with the CPF
+refinement (``sparse_solver.StackedGridOperator``, one block per user)
+followed by one pilot-mixing product; the dense matrix is only assembled in
+oracle tests at toy sizes.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .measurement import MeasurementTensor, noise_std_per_entry
 from .sparse_solver import (
     AngleGrid,
     FistaConfig,
-    GridDictionaryOperator,
     ScaledColumnsOperator,
+    StackedGridOperator,
     fista,
     universal_lambda,
 )
@@ -37,30 +39,39 @@ from .training_design import TrainingDesign
 
 class PilotKronOperator:
     """Matrix-free (S kron Phi): coefficients are vec(D_bar), D_bar of shape
-    (grid.size, n_users)."""
+    (grid.size, n_users).
+
+    The grid operator maps vec(D_bar) to vec(M), M = Phi D_bar of shape
+    (m_bs * t_prime, n_users); the pilots then mix it as M S^T (adjoint:
+    Z S-bar).  Both products act on the transposes, which are the row-major
+    reshapes of the vectors, so nothing is copied.
+    """
 
     def __init__(self, design: TrainingDesign, grid: AngleGrid):
         self.S = design.S
-        self.grid_op = GridDictionaryOperator(design, grid)
+        self._S_H = design.S.conj().T
         self.n_users = design.n_users
-        m = self.grid_op.shape[0]
-        self.shape = (design.t * m, grid.size * self.n_users)
+        self.grid_op = StackedGridOperator(design, grid, self.n_users)
+        self.shape = (design.t * self.grid_op.m_bs * self.grid_op.t_prime,
+                      self.grid_op.shape[1])
 
     def matvec(self, d):
-        D = d.reshape(self.grid_op.shape[1], self.n_users, order="F")
-        M = np.stack([self.grid_op.matvec(D[:, u]) for u in range(self.n_users)], axis=1)
-        return (M @ self.S.T).ravel(order="F")
+        # vec(M S^T) is the row-major (t, m_bs t') array S M^T
+        Mt = self.grid_op.matvec(d).reshape(self.n_users, -1)
+        return (self.S @ Mt).ravel()
 
     def rmatvec(self, y):
-        Z = y.reshape(self.grid_op.shape[0], self.S.shape[0], order="F")
-        M = Z @ self.S.conj()
-        D = np.stack([self.grid_op.rmatvec(M[:, u]) for u in range(self.n_users)], axis=1)
-        return D.ravel(order="F")
+        # vec(Z S-bar) is the row-major (U, m_bs t') array S^H Z^T
+        Zt = y.reshape(self.S.shape[0], -1)
+        return self.grid_op.rmatvec((self._S_H @ Zt).ravel())
 
     def column_norms(self) -> np.ndarray:
-        grid_norms = self.grid_op.column_norms()
         s_norms = np.linalg.norm(self.S, axis=0)
-        return (grid_norms[:, None] * s_norms[None, :]).ravel(order="F")
+        return self.grid_op.column_norms() * np.repeat(s_norms, self.grid_op.grid.size)
+
+    def column(self, u: int, k: int) -> np.ndarray:
+        """Column of user u's grid atom k: kron(S[:, u], Phi_k)."""
+        return np.kron(self.S[:, u], self.grid_op.column(k))
 
 
 @dataclass(frozen=True)
@@ -112,31 +123,19 @@ def solve_cs(
 
     design, grid = prob.design, prob.grid
     D = d_hat.reshape(grid.size, design.n_users, order="F")
-    channels, supports = [], []
+    per_user_budget = op.shape[0] // design.n_users
+    supports = [_support_from_magnitudes(np.abs(D[:, u]), per_user_budget)
+                for u in range(design.n_users)]
     # joint support refit: LS over all retained columns keeps the per-user
     # interference consistent with the shared pilot mixing
-    cols, col_meta = [], []
-    per_user_budget = op.shape[0] // design.n_users
-    for u in range(design.n_users):
-        sup = _support_from_magnitudes(np.abs(D[:, u]), per_user_budget)
-        supports.append(sup)
-        for k in sup:
-            e = np.zeros(op.shape[1], dtype=np.complex128)
-            e[u * grid.size + k] = 1.0
-            cols.append(op.matvec(e))
-            col_meta.append((u, k))
+    cols = [op.column(u, k) for u, sup in enumerate(supports) for k in sup]
     if cols:
-        A_sub = np.stack(cols, axis=1)
-        gains, *_ = np.linalg.lstsq(A_sub, prob.y, rcond=None)
+        gains, *_ = np.linalg.lstsq(np.stack(cols, axis=1), prob.y, rcond=None)
     else:
         gains = np.array([], dtype=np.complex128)
-    per_user_gains: list[list[complex]] = [[] for _ in range(design.n_users)]
-    for (u, _k), g in zip(col_meta, gains):
-        per_user_gains[u].append(g)
-    for u in range(design.n_users):
-        channels.append(channel_from_grid(
-            supports[u], np.array(per_user_gains[u], dtype=np.complex128),
-            grid, design.n_bs, design.n_ms))
+    per_user_gains = np.split(gains, np.cumsum([sup.size for sup in supports])[:-1])
+    channels = [channel_from_grid(sup, g, grid, design.n_bs, design.n_ms)
+                for sup, g in zip(supports, per_user_gains)]
 
     runtime = time.perf_counter() - t0
     nm_total, nm_users = None, None

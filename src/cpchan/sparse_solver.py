@@ -10,8 +10,11 @@ threshold lam / L (magnitude shrink, phase preserved), so for A = I the fixed
 point is x = soft(y, lam / 2).
 
 ``A`` may be a dense ndarray or any object exposing ``shape``, ``matvec`` and
-``rmatvec`` (matrix-free operators built from Kronecker structure live here
-too, so the big dictionaries are never materialized).
+``rmatvec``.  The one AoA/AoD grid dictionary operator, ``StackedGridOperator``,
+lives here too: it applies the dictionary matrix-free through its Kronecker
+factors, batched over users, so the big dictionaries are never materialized.
+The CPF refinement solves on it directly; the CS baseline mixes it with the
+pilots (``cs_baseline.PilotKronOperator``).
 """
 
 from __future__ import annotations
@@ -40,18 +43,18 @@ class MatrixOperator:
 
 
 class ScaledColumnsOperator:
-    """Wrap an operator with per-column scaling: (A diag(s)) x and its adjoint."""
+    """Wrap an operator with real per-column scaling: (A diag(s)) x and its adjoint."""
 
     def __init__(self, op, scales):
         self.op = op
-        self.scales = np.asarray(scales, dtype=np.complex128)
+        self.scales = np.asarray(scales, dtype=np.float64)
         self.shape = op.shape
 
     def matvec(self, x):
         return self.op.matvec(x * self.scales)
 
     def rmatvec(self, y):
-        return np.conj(self.scales) * self.op.rmatvec(y)
+        return self.scales * self.op.rmatvec(y)
 
 
 def as_operator(A):
@@ -228,86 +231,64 @@ def grid_responses(design, grid: AngleGrid):
     return G_Q, G_P
 
 
-class GridDictionaryOperator:
-    """Matrix-free (P^T kron Q^T) Sigma-bar: column (i, j) = G_P[:, i] kron G_Q[:, j].
+class StackedGridOperator:
+    """Matrix-free grid dictionary Phi = (P^T kron Q^T) Sigma-bar, stacked
+    block-diagonally over ``n_rhs`` right-hand sides (one per user).
 
-    matvec reshapes the coefficient vector into an (n_aoa, n_aod) matrix and
-    applies two small dense products instead of touching the full dictionary.
+    Column (i, j) of a block is G_P[:, i] kron G_Q[:, j]; the coefficient
+    vector is the per-block AoD-major vectors one after another.  All blocks
+    share the dictionary, so one batched application of the two small factor
+    products replaces a Python loop over users.
     """
 
-    def __init__(self, design, grid: AngleGrid, normalize_columns: bool = False):
+    def __init__(self, design, grid: AngleGrid, n_rhs: int = 1,
+                 normalize_columns: bool = False):
+        if n_rhs < 1:
+            raise ValueError("need at least one right-hand side")
         self.grid = grid
+        self.n_rhs = n_rhs
         self.G_Q, self.G_P = grid_responses(design, grid)
         if normalize_columns:
             # dictionary column norms separate as ||G_P_i|| * ||G_Q_j||, so
             # per-factor normalization yields exactly unit-norm columns
             self.G_Q = self.G_Q / np.linalg.norm(self.G_Q, axis=0)
             self.G_P = self.G_P / np.linalg.norm(self.G_P, axis=0)
-        self.m_bs, _ = self.G_Q.shape
-        self.t_prime, _ = self.G_P.shape
-        self.shape = (self.m_bs * self.t_prime, grid.size)
-
-    def matvec(self, x):
-        X = x.reshape(self.grid.n_aoa, self.grid.n_aod, order="F")
-        M = self.G_Q @ X @ self.G_P.T
-        return M.ravel(order="F")
-
-    def rmatvec(self, y):
-        M = y.reshape(self.m_bs, self.t_prime, order="F")
-        X = self.G_Q.conj().T @ M @ self.G_P.conj()
-        return X.ravel(order="F")
-
-    def column_norms(self) -> np.ndarray:
-        nq = np.linalg.norm(self.G_Q, axis=0)
-        np_ = np.linalg.norm(self.G_P, axis=0)
-        return (np_[None, :] * nq[:, None]).ravel(order="F")
-
-    def column(self, k: int) -> np.ndarray:
-        """Dictionary column k = kron(G_P[:, j], G_Q[:, i]) without a matvec."""
-        i = k % self.grid.n_aoa
-        j = k // self.grid.n_aoa
-        return np.outer(self.G_Q[:, i], self.G_P[:, j]).ravel(order="F")
-
-
-class StackedGridOperator:
-    """Block-diagonal stack of one GridDictionaryOperator for several right-
-    hand sides (one per user); a single batched application replaces a Python
-    loop of small per-user solves."""
-
-    def __init__(self, op: GridDictionaryOperator, n_rhs: int):
-        if n_rhs < 1:
-            raise ValueError("need at least one right-hand side")
-        self.op = op
-        self.n_rhs = n_rhs
-        self.shape = (op.shape[0] * n_rhs, op.shape[1] * n_rhs)
-        self._G_Qc = op.G_Q.conj()
-        self._G_Pc = op.G_P.conj()
-        g = op.grid
-        X = np.empty((g.n_aoa, g.n_aod, n_rhs), dtype=np.complex128)
-        Y = np.empty((op.m_bs, op.t_prime, n_rhs), dtype=np.complex128)
+        self.m_bs = self.G_Q.shape[0]
+        self.t_prime = self.G_P.shape[0]
+        self.shape = (self.m_bs * self.t_prime * n_rhs, grid.size * n_rhs)
+        self._G_Qc = self.G_Q.conj()
+        self._G_Pc = self.G_P.conj()
+        X = np.empty((grid.n_aoa, grid.n_aod, n_rhs), dtype=np.complex128)
+        Y = np.empty((self.m_bs, self.t_prime, n_rhs), dtype=np.complex128)
         self._fwd_path = np.einsum_path(
-            "ma,adu,td->utm", op.G_Q, X, op.G_P, optimize="optimal")[0]
+            "ma,adu,td->utm", self.G_Q, X, self.G_P, optimize="optimal")[0]
         self._adj_path = np.einsum_path(
             "ma,mtu,td->uda", self._G_Qc, Y, self._G_Pc, optimize="optimal")[0]
 
     def matvec(self, x):
-        g = self.op.grid
+        g = self.grid
         X = x.reshape(g.n_aoa, g.n_aod, self.n_rhs, order="F")
         # output written as (U, t', m) C-order == (m, t', U) F-order, so the
-        # C-ravel below is the stacked per-user vec without a transpose copy
+        # C-ravel below is the stacked per-block vec without a transpose copy
         out = np.einsum(
-            "ma,adu,td->utm", self.op.G_Q, X, self.op.G_P, optimize=self._fwd_path)
+            "ma,adu,td->utm", self.G_Q, X, self.G_P, optimize=self._fwd_path)
         return out.ravel()
 
     def rmatvec(self, y):
-        m, tp = self.op.m_bs, self.op.t_prime
-        Y = y.reshape(m, tp, self.n_rhs, order="F")
+        Y = y.reshape(self.m_bs, self.t_prime, self.n_rhs, order="F")
         X = np.einsum(
             "ma,mtu,td->uda", self._G_Qc, Y, self._G_Pc, optimize=self._adj_path)
         return X.ravel()
 
     def column_norms(self) -> np.ndarray:
-        return np.tile(self.op.column_norms(), self.n_rhs)
+        nq = np.linalg.norm(self.G_Q, axis=0)
+        np_ = np.linalg.norm(self.G_P, axis=0)
+        return np.tile((np_[None, :] * nq[:, None]).ravel(order="F"), self.n_rhs)
+
+    def column(self, k: int) -> np.ndarray:
+        """Column k of one block, kron(G_P[:, j], G_Q[:, i]), without a matvec."""
+        j, i = self.grid.cell(k)
+        return np.outer(self.G_Q[:, i], self.G_P[:, j]).ravel(order="F")
 
 
 def build_dictionary(design, grid: AngleGrid) -> np.ndarray:

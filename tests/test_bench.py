@@ -182,6 +182,16 @@ class TestRunSweep:
         assert summ[30.0]["nmse"] != "" and summ[30.0]["status"] == "n=1;failed=1"
         assert "mean_nmse=none" in capsys.readouterr().out
 
+    def test_noiseless_run_is_recorded_at_infinite_snr(self, tmp_path, capsys):
+        # snr_db None without a sweep must not read as a 0 dB run
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg_path.write_text(json.dumps({**TINY, "snr_db": None, "methods": ["cs_grid1"]}))
+        assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 0
+        with open(out, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["sweep_value"] for r in rows] == ["inf", "inf"]
+        assert "snr_db=inf " in capsys.readouterr().out
+
     def test_thread_pool_matches_serial(self, tmp_path):
         cfg = ExperimentConfig(**{**TINY, "trials": 2}, methods=("cs_grid1",))
         serial = run_sweep(cfg)

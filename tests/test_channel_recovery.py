@@ -15,7 +15,6 @@ from cpchan.channel_recovery import (
     estimate_all,
     nmse,
     pilot_constrained_polish,
-    reconstruct_compressed_channel,
     refine_channels,
     refinement_lambda,
     resolve_ambiguity,
@@ -64,23 +63,6 @@ class TestResolveAmbiguity:
             resolve_ambiguity(np.empty((4, 0), dtype=complex), S)
         with pytest.raises(ValueError):
             resolve_ambiguity(np.ones((3, 2), dtype=complex), S)
-
-
-class TestReconstructCompressed:
-    def test_matches_componentwise_sum(self):
-        rng = np.random.default_rng(2)
-        S = pilot_matrix(rng, t=6, u=3)
-        assignment = np.array([1, 1, 0])
-        lam = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        res = resolve_ambiguity(S[:, assignment] * lam[None, :], S)
-        A = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        B = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        Z1 = reconstruct_compressed_channel(A, B, res, 1)
-        expect = sum(lam[l] * np.outer(A[:, l], B[:, l]) for l in (0, 1))
-        np.testing.assert_allclose(Z1, expect, rtol=1e-10)
-        # user 2 received nothing
-        np.testing.assert_array_equal(
-            reconstruct_compressed_channel(A, B, res, 2), np.zeros((5, 4)))
 
 
 class TestPilotConstrainedPolish:

@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
+from cpchan.channel_recovery import _support_from_magnitudes, channel_from_grid
 from cpchan.channel_sim import assemble_all, sample_channel, sample_channel_on_grid
 from cpchan.cs_baseline import PilotKronOperator, assemble_problem, solve_cs
 from cpchan.measurement import simulate
 from cpchan.sparse_solver import (
     AngleGrid,
     FistaConfig,
+    ScaledColumnsOperator,
     adjoint_mismatch,
     build_dictionary,
+    fista,
+    grid_responses,
+    universal_lambda,
 )
 from cpchan.tensor_core import ComplexTensor3
 from cpchan.training_design import build_design
@@ -21,20 +26,87 @@ def tiny_design(seed=0, n_bs=8, n_ms=4, m_bs=4, t_prime=3, t=2, users=2):
     return build_design(rng, n_bs, n_ms, m_bs, t_prime, t, [1] * users)
 
 
+class LoopPilotKronOperator:
+    """Reference (S kron Phi) that applies the 2-D grid dictionary user by
+    user in a Python loop and mixes the pilots afterwards."""
+
+    def __init__(self, design, grid):
+        self.S = design.S
+        self.grid = grid
+        self.G_Q, self.G_P = grid_responses(design, grid)
+        self.m = self.G_Q.shape[0] * self.G_P.shape[0]
+        self.shape = (design.t * self.m, grid.size * design.n_users)
+
+    def _phi(self, x):
+        X = x.reshape(self.grid.n_aoa, self.grid.n_aod, order="F")
+        return (self.G_Q @ X @ self.G_P.T).ravel(order="F")
+
+    def _phi_h(self, y):
+        M = y.reshape(self.G_Q.shape[0], self.G_P.shape[0], order="F")
+        return (self.G_Q.conj().T @ M @ self.G_P.conj()).ravel(order="F")
+
+    def matvec(self, d):
+        D = d.reshape(self.grid.size, self.S.shape[1], order="F")
+        M = np.stack([self._phi(D[:, u]) for u in range(self.S.shape[1])], axis=1)
+        return (M @ self.S.T).ravel(order="F")
+
+    def rmatvec(self, y):
+        M = y.reshape(self.m, self.S.shape[0], order="F") @ self.S.conj()
+        D = np.stack([self._phi_h(M[:, u]) for u in range(self.S.shape[1])], axis=1)
+        return D.ravel(order="F")
+
+    def column_norms(self):
+        nq = np.linalg.norm(self.G_Q, axis=0)
+        np_ = np.linalg.norm(self.G_P, axis=0)
+        grid_norms = (np_[None, :] * nq[:, None]).ravel(order="F")
+        return (grid_norms[:, None] * np.linalg.norm(self.S, axis=0)[None, :]).ravel(order="F")
+
+
+def loop_solve_cs(prob):
+    """Reference noisy solve_cs: the loop operator, and a joint refit whose
+    columns are the operator applied to unit vectors."""
+    design, grid = prob.design, prob.grid
+    op = LoopPilotKronOperator(design, grid)
+    norms = op.column_norms()
+    lam = universal_lambda(prob.noise_std, op.shape[1], 1.0)
+    sol = fista(ScaledColumnsOperator(op, 1.0 / norms), prob.y, FistaConfig(lam=lam))
+    D = (sol.x / norms).reshape(grid.size, design.n_users, order="F")
+    supports, cols, owner = [], [], []
+    for u in range(design.n_users):
+        sup = _support_from_magnitudes(np.abs(D[:, u]), op.shape[0] // design.n_users)
+        supports.append(sup)
+        for k in sup:
+            e = np.zeros(op.shape[1], dtype=np.complex128)
+            e[u * grid.size + k] = 1.0
+            cols.append(op.matvec(e))
+            owner.append(u)
+    gains = np.linalg.lstsq(np.stack(cols, axis=1), prob.y, rcond=None)[0]
+    channels = [
+        channel_from_grid(sup, gains[np.array(owner) == u], grid, design.n_bs, design.n_ms)
+        for u, sup in enumerate(supports)]
+    return sol.iterations, supports, channels
+
+
+# (t, users): equal, fewer pilot slots than users (as at table1, 4 < 8), and
+# more; a swapped t/U reshape in the pilot mixing passes only the first
+PILOT_SHAPES = ((2, 2), (2, 4), (4, 2))
+
+
 class TestPilotKronOperator:
     def test_matches_dense_kronecker(self):
-        design = tiny_design()
         grid = AngleGrid(4, 4)
-        op = PilotKronOperator(design, grid)
-        dense = np.kron(design.S, build_dictionary(design, grid))
-        assert op.shape == dense.shape
         rng = np.random.default_rng(1)
-        x = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
-        y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
-        np.testing.assert_allclose(op.matvec(x), dense @ x, atol=1e-11)
-        np.testing.assert_allclose(op.rmatvec(y), dense.conj().T @ y, atol=1e-11)
-        np.testing.assert_allclose(op.column_norms(),
-                                   np.linalg.norm(dense, axis=0), atol=1e-11)
+        for t, users in PILOT_SHAPES:
+            design = tiny_design(t=t, users=users)
+            op = PilotKronOperator(design, grid)
+            dense = np.kron(design.S, build_dictionary(design, grid))
+            assert op.shape == dense.shape
+            x = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
+            y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+            np.testing.assert_allclose(op.matvec(x), dense @ x, atol=1e-11)
+            np.testing.assert_allclose(op.rmatvec(y), dense.conj().T @ y, atol=1e-11)
+            np.testing.assert_allclose(op.column_norms(),
+                                       np.linalg.norm(dense, axis=0), atol=1e-11)
 
     def test_unit_vector_extracts_column(self):
         design = tiny_design(seed=2)
@@ -45,11 +117,15 @@ class TestPilotKronOperator:
             e = np.zeros(op.shape[1], dtype=np.complex128)
             e[k] = 1.0
             np.testing.assert_allclose(op.matvec(e), dense[:, k], atol=1e-12)
+            np.testing.assert_allclose(op.column(*divmod(k, grid.size)), dense[:, k],
+                                       atol=1e-12)
 
     def test_adjoint(self):
-        design = tiny_design(seed=4, m_bs=6, t_prime=5, t=3, users=3)
-        op = PilotKronOperator(design, AngleGrid(6, 5))
-        assert adjoint_mismatch(op, np.random.default_rng(5)) < 1e-10
+        rng = np.random.default_rng(5)
+        for t, users in PILOT_SHAPES:
+            design = tiny_design(seed=4, m_bs=6, t_prime=5, t=t, users=users)
+            op = PilotKronOperator(design, AngleGrid(6, 5))
+            assert adjoint_mismatch(op, rng) < 1e-10
 
 
 class TestAssembleProblem:
@@ -115,6 +191,21 @@ class TestSolveCs:
         assert np.isfinite(res.nmse_total)
         assert res.iterations > 0
         assert all(np.all(np.isfinite(H)) for H in res.channels)
+
+    def test_matches_per_user_loop_reference(self):
+        # 3 users on 2 pilot slots, so the pilot mixing is not square
+        grid = AngleGrid(16, 8)
+        rng = np.random.default_rng(11)
+        channel = sample_channel(rng, 3, (1, 2, 1), 16, 8)
+        design = build_design(rng, 16, 8, 8, 8, 2, (1, 2, 1))
+        prob = assemble_problem(simulate(channel, design, 15.0, rng), design, grid)
+        res = solve_cs(prob)
+        iterations, supports, channels = loop_solve_cs(prob)
+        assert res.iterations == iterations
+        for got, want in zip(res.supports, supports):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(res.channels, channels):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_no_truth_leaves_nmse_none(self):
         grid = AngleGrid(8, 8)

@@ -9,7 +9,6 @@ from cpchan.channel_sim import sample_channel
 from cpchan.sparse_solver import (
     AngleGrid,
     FistaConfig,
-    GridDictionaryOperator,
     MatrixOperator,
     StackedGridOperator,
     adjoint_mismatch,
@@ -77,7 +76,7 @@ class TestOperators:
     def test_grid_operator_matches_dense_dictionary(self):
         design = small_design()
         grid = AngleGrid(12, 10)
-        op = GridDictionaryOperator(design, grid)
+        op = StackedGridOperator(design, grid)
         D = build_dictionary(design, grid)
         rng = np.random.default_rng(4)
         x = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
@@ -90,7 +89,7 @@ class TestOperators:
     def test_grid_operator_column_extraction(self):
         design = small_design(seed=5)
         grid = AngleGrid(9, 7)
-        op = GridDictionaryOperator(design, grid)
+        op = StackedGridOperator(design, grid)
         for k in [0, 1, 8, 9, grid.size - 1]:
             e = np.zeros(grid.size, dtype=np.complex128)
             e[k] = 1.0
@@ -98,15 +97,17 @@ class TestOperators:
 
     def test_normalized_columns_are_unit(self):
         design = small_design(seed=6)
-        op = GridDictionaryOperator(design, AngleGrid(8, 8), normalize_columns=True)
+        op = StackedGridOperator(design, AngleGrid(8, 8), normalize_columns=True)
         np.testing.assert_allclose(op.column_norms(), 1.0, atol=1e-12)
 
     def test_stacked_operator_is_block_diagonal(self):
         design = small_design(seed=7)
         grid = AngleGrid(10, 6)
-        base = GridDictionaryOperator(design, grid)
-        stacked = StackedGridOperator(base, 3)
+        base = StackedGridOperator(design, grid)
+        stacked = StackedGridOperator(design, grid, 3)
         assert adjoint_mismatch(stacked, np.random.default_rng(8)) < 1e-10
+        np.testing.assert_array_equal(stacked.column_norms(),
+                                      np.tile(base.column_norms(), 3))
         rng = np.random.default_rng(9)
         xs = [rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
               for _ in range(3)]
@@ -174,8 +175,7 @@ class TestFista:
         x0 = np.zeros(60, dtype=np.complex128)
         x0[[3, 17, 41]] = [2.0, -1.0 + 0.5j, 1.5j]
         y_dense = A @ x0 + 0.01 * (rng.standard_normal(30) + 1j * rng.standard_normal(30))
-        stacked = StackedGridOperator(GridDictionaryOperator(small_design(seed=31),
-                                                             AngleGrid(16, 8)), 3)
+        stacked = StackedGridOperator(small_design(seed=31), AngleGrid(16, 8), 3)
         y_stacked = rng.standard_normal(stacked.shape[0]) + 1j * rng.standard_normal(
             stacked.shape[0])
         for op, y, cfg in (
@@ -221,7 +221,7 @@ class TestFista:
         rng = np.random.default_rng(22)
         design = small_design(seed=22, m_bs=8, t_prime=8)
         grid = AngleGrid(16, 8)
-        op = GridDictionaryOperator(design, grid)
+        op = StackedGridOperator(design, grid)
         x0 = np.zeros(grid.size, dtype=np.complex128)
         x0[[5, 40, 90]] = [1.0, -2.0j, 1.5]
         y = op.matvec(x0)
