@@ -26,7 +26,6 @@ from .cp_als import AlsConfig
 from .measurement import simulate
 from .sparse_solver import AngleGrid
 from .training_design import build_design, check_uniqueness
-from .channel_recovery import nmse  # re-exported: the NMSE metric lives here
 
 CSV_SCHEMA_VERSION = "1"
 
@@ -74,6 +73,13 @@ class ExperimentConfig:
             raise ValueError("sweep_values must be nonempty when sweeping")
         if self.sweep_variable not in (None, "snr_db", "t", "m_bs", "t_prime"):
             raise ValueError(f"unknown sweep variable {self.sweep_variable}")
+        if self.sweep_variable in ("t", "m_bs", "t_prime"):
+            for v in self.sweep_values:
+                if not float(v).is_integer():
+                    raise ValueError(f"sweep_values for {self.sweep_variable} must be "
+                                     f"integers, got {v!r}")
+        if not self.methods:
+            raise ValueError(f"methods must be nonempty, got {self.methods!r}")
         unknown = set(self.methods) - set(KNOWN_METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")

@@ -21,12 +21,15 @@ kr(C, B)^H kr(C, B) = (C^H C) * (B^H B) (elementwise), so each update solves
 its R x R normal equations from the factor Grams kept across the sweep
 (Kolda & Bader 2009).  The per-sweep fit is the norm of the mode-3 residual
 Y_(3)^T - kr(B, A) C^T, reusing the product the C update formed; only each
-start's first objective composes the dense tensor.
+run's first objective composes the dense tensor.
 
-A run without a given starting point keeps the best of RESTARTS seeded random
-starts.  Both record an objective trace (fit, plus the trace penalty for the
-ridge stage) that is non-increasing by construction since every update is an
-exact minimizer of its subproblem.
+A run without a given starting point starts from one random draw seeded by
+AlsConfig.seed.  Starts are deliberately not picked by objective: under the
+ridge penalty a fit that merges two paths into one component costs less, so
+the lowest objective under-counts the rank.  Both entry points record
+an objective trace (fit, plus the trace penalty for the ridge stage) that is
+non-increasing by construction since every update is an exact minimizer of
+its subproblem.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ RIDGE_FLOOR = 1e-12        # relative floor on the Gram diagonal for numerical s
 WARMUP_ITERS = 200         # ridge warm-up sweep budget for the known-rank solver
 MU = 3e-3                  # ridge weight on unit-norm data; stable range [1e-3, 1e-2]
 PRUNE_THRESHOLD = 1e-2     # drop components below this share of the largest energy
-RESTARTS = 3               # random starts per ALS run; the best objective wins
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,6 @@ class CpResult:
     objective_trace: list[float] = field(default_factory=list)
     estimated_rank: int = 0
     converged: bool = True
-
-    @property
-    def final_objective(self) -> float:
-        return self.objective_trace[-1]
 
 
 def _init_factors(rng: np.random.Generator, dims, rank: int):
@@ -109,49 +107,43 @@ def _als_core(
     Y1t = unfold(Y, 1).T
     Y2t = unfold(Y, 2).T
     Y3t = unfold(Y, 3).T
-    best: CpResult | None = None
-    n_restarts = 1 if init is not None else RESTARTS
-    for restart in range(n_restarts):
-        if init is not None:
-            A, B, C = init.A.copy(), init.B.copy(), init.C.copy()
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, restart]))
-            A, B, C = _init_factors(rng, Y.dims, rank)
-        eye = np.eye(rank)
-        GB, GC = _gram(B), _gram(C)
-        trace = [_objective(Y, A, B, C, mu)]
-        converged = False
-        it = 0
-        for it in range(1, cfg.max_iters + 1):
-            prev = (A, B, C)
-            # kr(C, B)^H kr(C, B) = (C^H C) * (B^H B), and cyclically
-            A = _ridge_solve(GC * GB, khatri_rao(C, B), Y1t, mu, eye)
-            GA = _gram(A)
-            B = _ridge_solve(GC * GA, khatri_rao(C, A), Y2t, mu, eye)
-            GB = _gram(B)
-            V3 = khatri_rao(B, A)
-            C = _ridge_solve(GB * GA, V3, Y3t, mu, eye)
-            GC = _gram(C)
-            # mode-3 residual Y_(3)^T - kr(B, A) C^T, reusing the C update's product
-            obj = np.linalg.norm(Y3t - V3 @ C.T) ** 2
-            if mu > 0:
-                obj += mu * (np.trace(GA).real + np.trace(GB).real + np.trace(GC).real)
-            trace.append(float(obj))
-            num = sum(np.linalg.norm(M - Mp) for M, Mp in zip((A, B, C), prev))
-            den = sum(np.linalg.norm(M) for M in prev) + 1e-30
-            if num / den < cfg.tol:
-                converged = True
-                break
-        res = CpResult(
-            factors=FactorTriple(A, B, C),
-            iterations=it,
-            objective_trace=trace,
-            estimated_rank=rank,
-            converged=converged,
-        )
-        if best is None or res.final_objective < best.final_objective:
-            best = res
-    return best
+    if init is not None:
+        A, B, C = init.A.copy(), init.B.copy(), init.C.copy()
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+        A, B, C = _init_factors(rng, Y.dims, rank)
+    eye = np.eye(rank)
+    GB, GC = _gram(B), _gram(C)
+    trace = [_objective(Y, A, B, C, mu)]
+    converged = False
+    it = 0
+    for it in range(1, cfg.max_iters + 1):
+        prev = (A, B, C)
+        # kr(C, B)^H kr(C, B) = (C^H C) * (B^H B), and cyclically
+        A = _ridge_solve(GC * GB, khatri_rao(C, B), Y1t, mu, eye)
+        GA = _gram(A)
+        B = _ridge_solve(GC * GA, khatri_rao(C, A), Y2t, mu, eye)
+        GB = _gram(B)
+        V3 = khatri_rao(B, A)
+        C = _ridge_solve(GB * GA, V3, Y3t, mu, eye)
+        GC = _gram(C)
+        # mode-3 residual Y_(3)^T - kr(B, A) C^T, reusing the C update's product
+        obj = np.linalg.norm(Y3t - V3 @ C.T) ** 2
+        if mu > 0:
+            obj += mu * (np.trace(GA).real + np.trace(GB).real + np.trace(GC).real)
+        trace.append(float(obj))
+        num = sum(np.linalg.norm(M - Mp) for M, Mp in zip((A, B, C), prev))
+        den = sum(np.linalg.norm(M) for M in prev) + 1e-30
+        if num / den < cfg.tol:
+            converged = True
+            break
+    return CpResult(
+        factors=FactorTriple(A, B, C),
+        iterations=it,
+        objective_trace=trace,
+        estimated_rank=rank,
+        converged=converged,
+    )
 
 
 def _gevd_init(Y: ComplexTensor3, rank: int) -> FactorTriple | None:
@@ -202,9 +194,9 @@ def als_known_rank(Y: ComplexTensor3, L: int, cfg: AlsConfig | None = None) -> C
     """ALS fit with a fixed number of rank-one components.
 
     Initialization compares two candidates and keeps the better-fitting
-    one: a short ridge-damped warm-up (best of several random restarts),
-    which avoids the slow "swamp" regime plain ALS falls into on
-    near-collinear components, and the algebraic matrix-pencil construction
+    one: a short ridge-damped warm-up from one seeded random start, which
+    avoids the slow "swamp" regime plain ALS falls into on near-collinear
+    components, and the algebraic matrix-pencil construction
     (:func:`_gevd_init`), which is exact on noiseless identifiable inputs.
     The returned trace covers only the exact-LS stage, whose sweeps solve
     each subproblem exactly.

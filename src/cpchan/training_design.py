@@ -21,6 +21,8 @@ import numpy as np
 
 KRANK_TOL = 1e-9          # subset dependent when sigma_min / sigma_max(full M) < tol
 KRANK_EXHAUSTIVE_MAX = 20  # exhaustive subset search only up to this many items
+COHERENCE_ITERS = 500     # projected-gradient steps per coherence-minimization start
+COHERENCE_RESTARTS = 10   # random starts of the coherence minimization
 
 
 @dataclass(frozen=True)
@@ -124,13 +126,7 @@ def welch_bound(t: int, u: int) -> float:
     return float(np.sqrt((u - t) / (t * (u - 1))))
 
 
-def minimize_coherence(
-    rng: np.random.Generator,
-    t: int,
-    u: int,
-    iters: int = 500,
-    restarts: int = 10,
-) -> np.ndarray:
+def minimize_coherence(rng: np.random.Generator, t: int, u: int) -> np.ndarray:
     """Near-Grassmannian frame of u unit-norm columns in C^t.
 
     Projected gradient descent on the smooth coherence surrogate
@@ -139,11 +135,11 @@ def minimize_coherence(
     all restarts and iterations is kept.
     """
     best, best_mu = None, np.inf
-    for _ in range(restarts):
+    for _ in range(COHERENCE_RESTARTS):
         S = rng.standard_normal((t, u)) + 1j * rng.standard_normal((t, u))
         S /= np.linalg.norm(S, axis=0)
-        for it in range(iters):
-            p = 4.0 + 28.0 * it / max(iters - 1, 1)
+        for it in range(COHERENCE_ITERS):
+            p = 4.0 + 28.0 * it / (COHERENCE_ITERS - 1)
             G = S.conj().T @ S
             W = np.abs(G) ** (2 * (p - 1))
             np.fill_diagonal(W, 0.0)

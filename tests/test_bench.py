@@ -40,6 +40,10 @@ class TestConfig:
             ExperimentConfig(sweep_variable="bogus", sweep_values=(1,))
         with pytest.raises(ValueError):
             ExperimentConfig(methods=("nonexistent",))
+        with pytest.raises(ValueError, match=r"m_bs.*12\.5"):
+            config_from_dict({"sweep_variable": "m_bs", "sweep_values": [8, 12.5]})
+        with pytest.raises(ValueError, match=r"methods.*\(\)"):
+            config_from_dict({"methods": []})
 
     def test_at_point_pins_sweep_variable(self):
         cfg = ExperimentConfig(sweep_variable="snr_db", sweep_values=(0.0, 20.0))

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from cpchan import cp_als
 from cpchan.cp_als import (
     MU,
-    RESTARTS,
     RIDGE_FLOOR,
     AlsConfig,
     _als_core,
     _gevd_init,
+    _init_factors,
     _objective,
     als_known_rank,
     als_regularized,
@@ -101,10 +101,10 @@ class TestSweepMatchesDenseGramReference:
         Y = noisy_tensor(60, (8, 7, 5), 3)
         res = als_known_rank(Y, 3, AlsConfig(max_iters=200))
         F = res.factors
-        assert res.final_objective == pytest.approx(_objective(Y, F.A, F.B, F.C, 0.0), rel=1e-10)
+        assert res.objective_trace[-1] == pytest.approx(_objective(Y, F.A, F.B, F.C, 0.0), rel=1e-10)
 
     def test_sweeps_do_not_compose_the_dense_tensor(self, monkeypatch):
-        # one composed objective per start: RESTARTS ridge starts + the polish
+        # one composed objective per run: the ridge start + the polish
         calls = []
 
         def counting_compose(F):
@@ -113,7 +113,23 @@ class TestSweepMatchesDenseGramReference:
 
         monkeypatch.setattr(cp_als, "compose", counting_compose)
         als_regularized(noisy_tensor(61, (6, 5, 4), 2), AlsConfig(k_upper=4, max_iters=50))
-        assert len(calls) <= RESTARTS + 1
+        assert len(calls) == 2
+
+
+class TestOneStart:
+    def test_no_init_is_the_seeded_random_start(self):
+        # on this input a best-of-several-starts rule would keep another start
+        Y = noisy_tensor(61, (6, 5, 4), 2)
+        cfg = AlsConfig(max_iters=100)
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+        init = FactorTriple(*_init_factors(rng, Y.dims, 4))
+        got = _als_core(Y, 4, cfg, MU)
+        want = _als_core(Y, 4, cfg, MU, init=init)
+        assert got.iterations == want.iterations
+        for g, w in zip((got.factors.A, got.factors.B, got.factors.C),
+                        (want.factors.A, want.factors.B, want.factors.C)):
+            np.testing.assert_array_equal(g, w)
+        assert got.objective_trace == want.objective_trace
 
 
 class TestPencilInit:

@@ -69,7 +69,7 @@ class TestPilotMatrix:
             pilot_matrix(np.random.default_rng(0), 1, 4)
 
     def test_coherence_bounds(self):
-        S = minimize_coherence(np.random.default_rng(3), 3, 7, iters=100, restarts=3)
+        S = minimize_coherence(np.random.default_rng(3), 3, 7)
         assert 0.0 <= mutual_coherence(S) <= 1.0
 
 
