@@ -67,8 +67,15 @@ class ExperimentConfig:
     fixed_realization: bool = False
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for key in ("n_bs", "n_ms", "n_users", "m_bs", "t_prime", "t", "trials",
+                    "als_max_iters", "fista_max_iters"):
+            v = getattr(self, key)
+            if not float(v).is_integer() or v < 1:
+                raise ValueError(f"{key} must be a positive integer, got {v!r}")
+            object.__setattr__(self, key, int(v))
+        if len(self.paths_per_user) != self.n_users:
+            raise ValueError(f"paths_per_user has {len(self.paths_per_user)} entries "
+                             f"for n_users={self.n_users}")
         if self.sweep_variable is not None and not self.sweep_values:
             raise ValueError("sweep_values must be nonempty when sweeping")
         if self.sweep_variable not in (None, "snr_db", "t", "m_bs", "t_prime"):

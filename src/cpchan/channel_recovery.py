@@ -135,12 +135,16 @@ def _support_and_refit(
 ):
     """Threshold the grid solution and debias on the recovered support.
 
+    ``op`` is one unit-column block and ``x`` the l1 solution on it; the
+    threshold reads, and the refit returns, physical gains (x / atom_norms).
+
     Noisy case: the l1 solution under the universal threshold is already
     concentrated, so a joint least-squares refit over the thresholded atoms
     removes the shrinkage bias directly.  The refit truncates singular
     values below REFIT_RCOND of the largest: thresholded supports on an
     oversampled grid contain near-collinear atom clusters whose unstable
-    directions would otherwise amplify into enormous spurious gains.
+    directions would otherwise amplify into enormous spurious gains.  That
+    cutoff is set on the physical atoms, so the unit columns are rescaled.
 
     Noiseless case: the threshold is effectively zero and the iterate stays
     diffuse over the oversampled (hence highly coherent) grid, where a joint
@@ -151,27 +155,27 @@ def _support_and_refit(
     best correlated with the measurement, keeps only atoms that actually
     reduce the residual and collapses to the exact support on-grid.
     """
-    candidates = _support_from_magnitudes(np.abs(x), op.shape[0])
+    norms = op.atom_norms()
+    candidates = _support_from_magnitudes(np.abs(x / norms), op.shape[0])
     if candidates.size == 0:
         return candidates, np.array([], dtype=np.complex128)
     if noise_std > 0.0:
-        cols = np.stack([op.column(k) for k in candidates], axis=1)
+        cols = np.stack([op.column(k) for k in candidates], axis=1) * norms[candidates]
         gains, *_ = np.linalg.lstsq(cols, z, rcond=REFIT_RCOND)
         return candidates, gains
     # the l1 iterate can concentrate on a neighbour cluster that misses the
     # true atom; make the best-correlated atoms eligible too
-    corr = np.abs(op.rmatvec(z)) / np.maximum(op.column_norms(), 1e-300)
+    corr = np.abs(op.rmatvec(z))
     cap = max(1, op.shape[0] // 4)
     screened = np.argsort(corr)[::-1][:cap]
     candidates = np.union1d(candidates, screened)
     cols = np.stack([op.column(k) for k in candidates], axis=1)
-    unit_cols = cols / np.maximum(np.linalg.norm(cols, axis=0), 1e-300)
     z_norm = np.linalg.norm(z)
     residual = z
     selected: list[int] = []
     gains = np.array([], dtype=np.complex128)
     for _ in range(candidates.size):
-        scores = np.abs(unit_cols.conj().T @ residual)
+        scores = np.abs(cols.conj().T @ residual)
         scores[selected] = -1.0
         pick = int(np.argmax(scores))
         trial = selected + [pick]
@@ -182,8 +186,9 @@ def _support_and_refit(
         selected, gains, residual = trial, g, new_residual
         if np.linalg.norm(residual) <= 1e-8 * z_norm or len(selected) >= cap:
             break
-    order = np.argsort(candidates[selected])
-    return candidates[selected][order], gains[order]
+    support = candidates[selected]
+    order = np.argsort(support)
+    return support[order], gains[order] / norms[support[order]]
 
 
 def channel_from_grid(
@@ -252,23 +257,18 @@ def refine_channels(
     Z = np.asfortranarray(Z, dtype=np.complex128)
     n_users = Z.shape[1]
     op = StackedGridOperator(design, cfg.grid)
-    norms = op.column_norms()
     z_all = Z.ravel(order="F")
     lam = refinement_lambda(z_all, noise_std, cfg.grid.size, LAMBDA_SCALE)
     # all users share the dictionary, so the per-user solves batch into one
-    # block-diagonal FISTA run on the column-normalized operator
-    stacked = StackedGridOperator(design, cfg.grid, n_users, normalize_columns=True)
-    # the stacked operator is block diagonal with identical blocks, so its
-    # top singular value is the single block's; estimate it on one block
-    op_unit = StackedGridOperator(design, cfg.grid, normalize_columns=True)
-    step = 1.0 / (2.0 * top_singular_value(op_unit) ** 2)
+    # block-diagonal FISTA run; its blocks are identical, so its top singular
+    # value is the single block's
+    step = 1.0 / (2.0 * top_singular_value(op) ** 2)
     sol = fista(
-        stacked,
+        StackedGridOperator(design, cfg.grid, n_users),
         z_all,
         FistaConfig(lam=lam, max_iters=cfg.fista_max_iters, tol=cfg.fista_tol, step=step),
     )
-    # undo the column normalization before thresholding physical gains
-    X = sol.x.reshape(cfg.grid.size, n_users, order="F") / norms[:, None]
+    X = sol.x.reshape(cfg.grid.size, n_users, order="F")
     channels = []
     for u in range(n_users):
         support, gains = _support_and_refit(op, Z[:, u], X[:, u], noise_std)

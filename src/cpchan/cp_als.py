@@ -54,6 +54,8 @@ class AlsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.k_upper < 1:

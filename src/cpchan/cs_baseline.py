@@ -12,7 +12,9 @@ one large l1-regularized problem over all users' grid coefficients.  The
 (S kron Phi) operator is the grid dictionary operator shared with the CPF
 refinement (``sparse_solver.StackedGridOperator``, one block per user)
 followed by one pilot-mixing product; the dense matrix is only assembled in
-oracle tests at toy sizes.
+oracle tests at toy sizes.  Like every grid dictionary operator it has
+unit-norm columns (the pilots mix with S over its column norms); its
+``atom_norms()``, pilot norm times grid atom norm, turn coefficients into gains.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .measurement import MeasurementTensor, noise_std_per_entry
 from .sparse_solver import (
     AngleGrid,
     FistaConfig,
-    ScaledColumnsOperator,
     StackedGridOperator,
     fista,
     universal_lambda,
@@ -38,8 +39,8 @@ from .training_design import TrainingDesign
 
 
 class PilotKronOperator:
-    """Matrix-free (S kron Phi): coefficients are vec(D_bar), D_bar of shape
-    (grid.size, n_users).
+    """Matrix-free (S kron Phi) with unit-norm columns: coefficients are
+    vec(D_bar), D_bar of shape (grid.size, n_users).
 
     The grid operator maps vec(D_bar) to vec(M), M = Phi D_bar of shape
     (m_bs * t_prime, n_users); the pilots then mix it as M S^T (adjoint:
@@ -48,8 +49,9 @@ class PilotKronOperator:
     """
 
     def __init__(self, design: TrainingDesign, grid: AngleGrid):
-        self.S = design.S
-        self._S_H = design.S.conj().T
+        self._s_norms = np.linalg.norm(design.S, axis=0)
+        self.S = design.S / self._s_norms
+        self._S_H = self.S.conj().T
         self.n_users = design.n_users
         self.grid_op = StackedGridOperator(design, grid, self.n_users)
         self.shape = (design.t * self.grid_op.m_bs * self.grid_op.t_prime,
@@ -65,12 +67,12 @@ class PilotKronOperator:
         Zt = y.reshape(self.S.shape[0], -1)
         return self.grid_op.rmatvec((self._S_H @ Zt).ravel())
 
-    def column_norms(self) -> np.ndarray:
-        s_norms = np.linalg.norm(self.S, axis=0)
-        return self.grid_op.column_norms() * np.repeat(s_norms, self.grid_op.grid.size)
+    def atom_norms(self) -> np.ndarray:
+        """Per-column norms of the physical atoms kron(s_u, Phi_k)."""
+        return self.grid_op.atom_norms() * np.repeat(self._s_norms, self.grid_op.grid.size)
 
     def column(self, u: int, k: int) -> np.ndarray:
-        """Column of user u's grid atom k: kron(S[:, u], Phi_k)."""
+        """Unit column of user u's grid atom k: kron(S[:, u], Phi_k)."""
         return np.kron(self.S[:, u], self.grid_op.column(k))
 
 
@@ -108,27 +110,27 @@ def solve_cs(
     lambda_scale: float = 1.0,
     channel_truth: GeometricChannel | None = None,
 ) -> CsResult:
-    """FISTA on the normalized operator, per-user support refit, reassembly."""
+    """FISTA on the unit-column operator, per-user support refit, reassembly."""
     t0 = time.perf_counter()
     op = prob.operator
-    norms = op.column_norms()
     if cfg is None:
         if prob.noise_std > 0.0:
             lam = universal_lambda(prob.noise_std, op.shape[1], lambda_scale)
         else:
-            lam = max(1e-8 * float(np.max(np.abs(op.rmatvec(prob.y) / norms))), 1e-300)
+            lam = max(1e-8 * float(np.max(np.abs(op.rmatvec(prob.y)))), 1e-300)
         cfg = FistaConfig(lam=lam)
-    sol = fista(ScaledColumnsOperator(op, 1.0 / norms), prob.y, cfg)
-    d_hat = sol.x / norms
+    sol = fista(op, prob.y, cfg)
 
     design, grid = prob.design, prob.grid
-    D = d_hat.reshape(grid.size, design.n_users, order="F")
+    norms = op.atom_norms().reshape(grid.size, design.n_users, order="F")
+    D = sol.x.reshape(grid.size, design.n_users, order="F") / norms
     per_user_budget = op.shape[0] // design.n_users
     supports = [_support_from_magnitudes(np.abs(D[:, u]), per_user_budget)
                 for u in range(design.n_users)]
     # joint support refit: LS over all retained columns keeps the per-user
-    # interference consistent with the shared pilot mixing
-    cols = [op.column(u, k) for u, sup in enumerate(supports) for k in sup]
+    # interference consistent with the shared pilot mixing; the columns are
+    # the physical atoms, so the LS solution is the path gains
+    cols = [op.column(u, k) * norms[k, u] for u, sup in enumerate(supports) for k in sup]
     if cols:
         gains, *_ = np.linalg.lstsq(np.stack(cols, axis=1), prob.y, rcond=None)
     else:

@@ -14,7 +14,9 @@ point is x = soft(y, lam / 2).
 lives here too: it applies the dictionary matrix-free through its Kronecker
 factors, batched over users, so the big dictionaries are never materialized.
 The CPF refinement solves on it directly; the CS baseline mixes it with the
-pilots (``cs_baseline.PilotKronOperator``).
+pilots (``cs_baseline.PilotKronOperator``).  Every grid dictionary operator
+has unit-norm columns, so one l1 weight treats all atoms alike; a coefficient
+divided by its ``atom_norms()`` entry (the physical atom's norm) is the gain.
 """
 
 from __future__ import annotations
@@ -40,21 +42,6 @@ class MatrixOperator:
 
     def rmatvec(self, y):
         return self.M.conj().T @ y
-
-
-class ScaledColumnsOperator:
-    """Wrap an operator with real per-column scaling: (A diag(s)) x and its adjoint."""
-
-    def __init__(self, op, scales):
-        self.op = op
-        self.scales = np.asarray(scales, dtype=np.float64)
-        self.shape = op.shape
-
-    def matvec(self, x):
-        return self.op.matvec(x * self.scales)
-
-    def rmatvec(self, y):
-        return self.scales * self.op.rmatvec(y)
 
 
 def as_operator(A):
@@ -100,6 +87,8 @@ class FistaConfig:
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("lam must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -232,27 +221,26 @@ def grid_responses(design, grid: AngleGrid):
 
 
 class StackedGridOperator:
-    """Matrix-free grid dictionary Phi = (P^T kron Q^T) Sigma-bar, stacked
-    block-diagonally over ``n_rhs`` right-hand sides (one per user).
+    """Matrix-free grid dictionary Phi = (P^T kron Q^T) Sigma-bar with unit-norm
+    columns, stacked block-diagonally over ``n_rhs`` right-hand sides (one per
+    user).
 
-    Column (i, j) of a block is G_P[:, i] kron G_Q[:, j]; the coefficient
-    vector is the per-block AoD-major vectors one after another.  All blocks
-    share the dictionary, so one batched application of the two small factor
-    products replaces a Python loop over users.
+    Column (i, j) of a block is G_P[:, i] kron G_Q[:, j] divided by its norm;
+    the coefficient vector is the per-block AoD-major vectors one after
+    another.  All blocks share the dictionary, so one batched application of
+    the two small factor products replaces a Python loop over users.
     """
 
-    def __init__(self, design, grid: AngleGrid, n_rhs: int = 1,
-                 normalize_columns: bool = False):
+    def __init__(self, design, grid: AngleGrid, n_rhs: int = 1):
         if n_rhs < 1:
             raise ValueError("need at least one right-hand side")
         self.grid = grid
         self.n_rhs = n_rhs
-        self.G_Q, self.G_P = grid_responses(design, grid)
-        if normalize_columns:
-            # dictionary column norms separate as ||G_P_i|| * ||G_Q_j||, so
-            # per-factor normalization yields exactly unit-norm columns
-            self.G_Q = self.G_Q / np.linalg.norm(self.G_Q, axis=0)
-            self.G_P = self.G_P / np.linalg.norm(self.G_P, axis=0)
+        G_Q, G_P = grid_responses(design, grid)
+        # dictionary column norms separate as ||G_P_i|| * ||G_Q_j||, so
+        # per-factor normalization yields exactly unit-norm columns
+        self._norms_q, self._norms_p = np.linalg.norm(G_Q, axis=0), np.linalg.norm(G_P, axis=0)
+        self.G_Q, self.G_P = G_Q / self._norms_q, G_P / self._norms_p
         self.m_bs = self.G_Q.shape[0]
         self.t_prime = self.G_P.shape[0]
         self.shape = (self.m_bs * self.t_prime * n_rhs, grid.size * n_rhs)
@@ -280,13 +268,12 @@ class StackedGridOperator:
             "ma,mtu,td->uda", self._G_Qc, Y, self._G_Pc, optimize=self._adj_path)
         return X.ravel()
 
-    def column_norms(self) -> np.ndarray:
-        nq = np.linalg.norm(self.G_Q, axis=0)
-        np_ = np.linalg.norm(self.G_P, axis=0)
-        return np.tile((np_[None, :] * nq[:, None]).ravel(order="F"), self.n_rhs)
+    def atom_norms(self) -> np.ndarray:
+        """Per-column norms of the physical atoms kron(P^T a_ms, Q^T a_bs)."""
+        return np.tile(np.outer(self._norms_q, self._norms_p).ravel(order="F"), self.n_rhs)
 
     def column(self, k: int) -> np.ndarray:
-        """Column k of one block, kron(G_P[:, j], G_Q[:, i]), without a matvec."""
+        """Unit column k of one block, kron(G_P[:, j], G_Q[:, i]), without a matvec."""
         j, i = self.grid.cell(k)
         return np.outer(self.G_Q[:, i], self.G_P[:, j]).ravel(order="F")
 

@@ -45,6 +45,27 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"methods.*\(\)"):
             config_from_dict({"methods": []})
 
+    def test_integer_fields_are_coerced(self):
+        cfg = config_from_dict({**TINY, "m_bs": 6.0, "t": 2.0, "trials": 1.0})
+        assert (cfg.m_bs, cfg.t, cfg.trials) == (6, 2, 1)
+        assert all(type(v) is int for v in (cfg.m_bs, cfg.t, cfg.trials))
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_bs", 16.5), ("n_ms", 8.25), ("n_users", 2.5), ("m_bs", 6.5), ("t_prime", 6.5),
+        ("t", 2.5), ("trials", 1.5), ("als_max_iters", 10.5), ("fista_max_iters", 20.5)])
+    def test_non_integral_field_is_named(self, key, value):
+        with pytest.raises(ValueError, match=rf"{key}.*{re.escape(repr(value))}"):
+            config_from_dict({**TINY, key: value})
+
+    def test_paths_per_user_length_must_match_n_users(self):
+        with pytest.raises(ValueError, match=r"paths_per_user.*2.*n_users=3"):
+            config_from_dict({**TINY, "n_users": 3})
+
+    @pytest.mark.parametrize("key", ["als_max_iters", "fista_max_iters"])
+    def test_zero_iteration_budget_is_rejected(self, key):
+        with pytest.raises(ValueError, match=key):
+            config_from_dict({**TINY, key: 0})
+
     def test_at_point_pins_sweep_variable(self):
         cfg = ExperimentConfig(sweep_variable="snr_db", sweep_values=(0.0, 20.0))
         assert cfg.at_point(20.0).snr_db == 20.0

@@ -21,12 +21,20 @@ from cpchan.channel_recovery import (
 )
 from cpchan.channel_sim import (
     assemble_all,
+    sample_channel,
     sample_channel_on_grid,
     steering_from_sin,
 )
 from cpchan.cp_als import AlsConfig
 from cpchan.measurement import simulate
-from cpchan.sparse_solver import AngleGrid
+from cpchan.sparse_solver import (
+    AngleGrid,
+    FistaConfig,
+    StackedGridOperator,
+    fista,
+    grid_responses,
+    top_singular_value,
+)
 from cpchan.tensor_core import ComplexTensor3, FactorTriple, compose, frobenius_norm
 from cpchan.training_design import build_design, pilot_matrix
 
@@ -172,6 +180,135 @@ class TestEstimateUserChannel:
         (H,), converged = refine_channels(np.zeros((30, 1)), design, cfg, noise_std=0.0)
         np.testing.assert_array_equal(H, 0)
         assert converged
+
+
+class PhysicalGridBlock:
+    """One block of the grid dictionary with the physical atoms
+    kron(P^T a_ms, Q^T a_bs) as columns, not normalized."""
+
+    def __init__(self, design, grid):
+        self.grid = grid
+        self.G_Q, self.G_P = grid_responses(design, grid)
+        self.shape = (self.G_Q.shape[0] * self.G_P.shape[0], grid.size)
+
+    def rmatvec(self, y):
+        Y = y.reshape(self.G_Q.shape[0], self.G_P.shape[0], order="F")
+        return (self.G_Q.conj().T @ Y @ self.G_P.conj()).ravel(order="F")
+
+    def column_norms(self):
+        nq = np.linalg.norm(self.G_Q, axis=0)
+        np_ = np.linalg.norm(self.G_P, axis=0)
+        return (np_[None, :] * nq[:, None]).ravel(order="F")
+
+    def column(self, k):
+        j, i = self.grid.cell(k)
+        return np.outer(self.G_Q[:, i], self.G_P[:, j]).ravel(order="F")
+
+
+def reference_support_and_refit(op, z, x, noise_std):
+    """The debias refit on physical atoms: x holds physical gains, the noisy
+    refit solves on the physical columns, and the noiseless OMP normalizes
+    its candidate columns itself."""
+    candidates = channel_recovery._support_from_magnitudes(np.abs(x), op.shape[0])
+    if candidates.size == 0:
+        return candidates, np.array([], dtype=np.complex128)
+    if noise_std > 0.0:
+        cols = np.stack([op.column(k) for k in candidates], axis=1)
+        gains, *_ = np.linalg.lstsq(cols, z, rcond=channel_recovery.REFIT_RCOND)
+        return candidates, gains
+    corr = np.abs(op.rmatvec(z)) / np.maximum(op.column_norms(), 1e-300)
+    cap = max(1, op.shape[0] // 4)
+    candidates = np.union1d(candidates, np.argsort(corr)[::-1][:cap])
+    cols = np.stack([op.column(k) for k in candidates], axis=1)
+    unit_cols = cols / np.maximum(np.linalg.norm(cols, axis=0), 1e-300)
+    z_norm = np.linalg.norm(z)
+    residual = z
+    selected = []
+    gains = np.array([], dtype=np.complex128)
+    for _ in range(candidates.size):
+        scores = np.abs(unit_cols.conj().T @ residual)
+        scores[selected] = -1.0
+        trial = selected + [int(np.argmax(scores))]
+        g, *_ = np.linalg.lstsq(cols[:, trial], z, rcond=None)
+        new_residual = z - cols[:, trial] @ g
+        if selected and np.linalg.norm(new_residual) >= np.linalg.norm(residual):
+            break
+        selected, gains, residual = trial, g, new_residual
+        if np.linalg.norm(residual) <= 1e-8 * z_norm or len(selected) >= cap:
+            break
+    order = np.argsort(candidates[selected])
+    return candidates[selected][order], gains[order]
+
+
+def reference_refine_channels(Z, design, cfg, noise_std):
+    """refine_channels on three operators: the physical block for the
+    thresholds and refits, a unit block for the step size and the unit
+    n_users stack for FISTA.  Returns channels, FISTA iterations, supports."""
+    Z = np.asfortranarray(Z, dtype=np.complex128)
+    n_users = Z.shape[1]
+    op = PhysicalGridBlock(design, cfg.grid)
+    z_all = Z.ravel(order="F")
+    lam = refinement_lambda(z_all, noise_std, cfg.grid.size, channel_recovery.LAMBDA_SCALE)
+    step = 1.0 / (2.0 * top_singular_value(StackedGridOperator(design, cfg.grid)) ** 2)
+    sol = fista(StackedGridOperator(design, cfg.grid, n_users), z_all,
+                FistaConfig(lam=lam, max_iters=cfg.fista_max_iters, tol=cfg.fista_tol,
+                            step=step))
+    X = sol.x.reshape(cfg.grid.size, n_users, order="F") / op.column_norms()[:, None]
+    channels, supports = [], []
+    for u in range(n_users):
+        support, gains = reference_support_and_refit(op, Z[:, u], X[:, u], noise_std)
+        supports.append(support)
+        channels.append(channel_from_grid(support, gains, cfg.grid, design.n_bs, design.n_ms))
+    return channels, sol.iterations, supports
+
+
+class TestRefineChannelsParity:
+    """The unit-column refinement against the physical-atom reference."""
+
+    def check(self, monkeypatch, Z, design, cfg, noise_std):
+        iterations, supports = [], []
+
+        def recording_fista(*args):
+            res = fista(*args)
+            iterations.append(res.iterations)
+            return res
+
+        def recording_channel_from_grid(support, *args):
+            supports.append(support)
+            return channel_from_grid(support, *args)
+
+        want, want_iterations, want_supports = reference_refine_channels(
+            Z, design, cfg, noise_std)
+        monkeypatch.setattr(channel_recovery, "fista", recording_fista)
+        monkeypatch.setattr(channel_recovery, "channel_from_grid", recording_channel_from_grid)
+        got, _ = refine_channels(Z, design, cfg, noise_std)
+        assert iterations == [want_iterations]
+        assert len(supports) == len(want_supports)
+        for a, b in zip(supports, want_supports):
+            np.testing.assert_array_equal(a, b)
+        assert sum(s.size for s in supports) > Z.shape[1]
+        for a, b in zip(got, want):
+            assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_noisy_multi_user_scene(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        paths = (1, 2, 2)
+        channel = sample_channel(rng, 3, paths, 16, 8)
+        design = build_design(rng, 16, 8, 8, 8, 3, paths)
+        Z = np.stack([(design.Q.T @ H @ design.P).ravel(order="F")
+                      for H in assemble_all(channel)], axis=1)
+        noise_std = 0.05 * np.sqrt(np.mean(np.abs(Z) ** 2))
+        Z = Z + noise_std * (rng.standard_normal(Z.shape)
+                             + 1j * rng.standard_normal(Z.shape)) / np.sqrt(2)
+        self.check(monkeypatch, Z, design, PipelineConfig(grid=AngleGrid(64, 32)), noise_std)
+
+    def test_noiseless_multi_user_scene(self, monkeypatch):
+        grid = AngleGrid(32, 16)
+        channel, design = on_grid_scene(22, 3, (1, 2, 1), 16, 8, 8, 8, 3, grid)
+        Z = np.stack([(design.Q.T @ H @ design.P).ravel(order="F")
+                      for H in assemble_all(channel)], axis=1)
+        cfg = PipelineConfig(grid=grid, fista_max_iters=1000, fista_tol=1e-12)
+        self.check(monkeypatch, Z, design, cfg, 0.0)
 
 
 class TestEstimateAll:

@@ -208,6 +208,11 @@ class TestKnownRank:
         with pytest.raises(ValueError):
             als_known_rank(ComplexTensor3(np.zeros((3, 3, 3), complex)), 1)
 
+    def test_zero_iteration_budget_raises(self):
+        # a zero budget would return the random start as the decomposition
+        with pytest.raises(ValueError, match="max_iters"):
+            AlsConfig(max_iters=0)
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_rank1_exact_for_any_draw(self, seed):

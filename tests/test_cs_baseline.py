@@ -1,5 +1,7 @@
 """Direct compressed-sensing baseline: operator oracle and recovery checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from cpchan.measurement import simulate
 from cpchan.sparse_solver import (
     AngleGrid,
     FistaConfig,
-    ScaledColumnsOperator,
     adjoint_mismatch,
     build_dictionary,
     fista,
@@ -62,9 +63,26 @@ class LoopPilotKronOperator:
         return (grid_norms[:, None] * np.linalg.norm(self.S, axis=0)[None, :]).ravel(order="F")
 
 
+class ScaledColumnsOperator:
+    """(A diag(s)) x and its adjoint: the loop operator with its columns
+    scaled to unit norm, applied as a wrapper around the physical one."""
+
+    def __init__(self, op, scales):
+        self.op = op
+        self.scales = scales
+        self.shape = op.shape
+
+    def matvec(self, x):
+        return self.op.matvec(x * self.scales)
+
+    def rmatvec(self, y):
+        return self.scales * self.op.rmatvec(y)
+
+
 def loop_solve_cs(prob):
-    """Reference noisy solve_cs: the loop operator, and a joint refit whose
-    columns are the operator applied to unit vectors."""
+    """Reference noisy solve_cs: FISTA on the loop operator scaled to unit
+    columns, and a joint refit whose columns are the physical operator
+    applied to unit vectors."""
     design, grid = prob.design, prob.grid
     op = LoopPilotKronOperator(design, grid)
     norms = op.column_norms()
@@ -92,27 +110,53 @@ def loop_solve_cs(prob):
 PILOT_SHAPES = ((2, 2), (2, 4), (4, 2))
 
 
+def unit_columns(M):
+    return M / np.linalg.norm(M, axis=0)
+
+
+def check_dense_match(op, design, grid, rng):
+    """op is the physical (S kron Phi) with unit columns; atom_norms are the
+    physical column norms."""
+    dense = np.kron(design.S, build_dictionary(design, grid))
+    unit = unit_columns(dense)
+    assert op.shape == dense.shape
+    x = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
+    y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+    np.testing.assert_allclose(op.matvec(x), unit @ x, atol=1e-11)
+    np.testing.assert_allclose(op.rmatvec(y), unit.conj().T @ y, atol=1e-11)
+    np.testing.assert_allclose(op.atom_norms(), np.linalg.norm(dense, axis=0), rtol=1e-12)
+
+
 class TestPilotKronOperator:
     def test_matches_dense_kronecker(self):
         grid = AngleGrid(4, 4)
         rng = np.random.default_rng(1)
         for t, users in PILOT_SHAPES:
             design = tiny_design(t=t, users=users)
-            op = PilotKronOperator(design, grid)
-            dense = np.kron(design.S, build_dictionary(design, grid))
-            assert op.shape == dense.shape
-            x = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
-            y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
-            np.testing.assert_allclose(op.matvec(x), dense @ x, atol=1e-11)
-            np.testing.assert_allclose(op.rmatvec(y), dense.conj().T @ y, atol=1e-11)
-            np.testing.assert_allclose(op.column_norms(),
-                                       np.linalg.norm(dense, axis=0), atol=1e-11)
+            check_dense_match(PilotKronOperator(design, grid), design, grid, rng)
+
+    def test_pilots_of_any_norm_give_unit_columns(self):
+        # the designed pilots have unit-norm columns; scaled ones must still
+        # give a unit-column operator, kron(S / ||S||, Phi / ||Phi||)
+        grid = AngleGrid(5, 4)
+        rng = np.random.default_rng(12)
+        base = tiny_design(seed=12, t=3, users=2)
+        design = dataclasses.replace(base, S=base.S * np.array([0.5, 3.0]))
+        op = PilotKronOperator(design, grid)
+        cols = np.stack([op.column(u, k) for u in range(2) for k in range(grid.size)],
+                        axis=1)
+        np.testing.assert_allclose(np.linalg.norm(cols, axis=0), 1.0, atol=1e-12)
+        expect = np.kron(unit_columns(design.S),
+                         unit_columns(build_dictionary(design, grid)))
+        np.testing.assert_allclose(cols, expect, atol=1e-12)
+        check_dense_match(op, design, grid, rng)
+        assert adjoint_mismatch(op, rng) < 1e-10
 
     def test_unit_vector_extracts_column(self):
         design = tiny_design(seed=2)
         grid = AngleGrid(4, 4)
         op = PilotKronOperator(design, grid)
-        dense = np.kron(design.S, build_dictionary(design, grid))
+        dense = unit_columns(np.kron(design.S, build_dictionary(design, grid)))
         for k in np.random.default_rng(3).choice(op.shape[1], size=5, replace=False):
             e = np.zeros(op.shape[1], dtype=np.complex128)
             e[k] = 1.0
@@ -146,7 +190,8 @@ class TestAssembleProblem:
                 i = int(np.argmin(np.abs(grid.sin_aoa - np.sin(p.aoa))))
                 j = int(np.argmin(np.abs(grid.sin_aod - np.sin(p.aod))))
                 d[u * grid.size + j * grid.n_aoa + i] = p.gain
-        np.testing.assert_allclose(prob.operator.matvec(d), prob.y,
+        # path gains on the physical atoms are gain * atom norm on the unit ones
+        np.testing.assert_allclose(prob.operator.matvec(d * prob.operator.atom_norms()), prob.y,
                                    rtol=1e-9, atol=1e-12)
         assert prob.noise_std == 0.0
 

@@ -74,17 +74,20 @@ class TestOperators:
         assert top_singular_value(MatrixOperator(M), n_iters=200) == pytest.approx(ref, rel=1e-6)
 
     def test_grid_operator_matches_dense_dictionary(self):
+        # the operator is the physical dictionary with its columns normalized;
+        # atom_norms are the physical column norms
         design = small_design()
         grid = AngleGrid(12, 10)
         op = StackedGridOperator(design, grid)
         D = build_dictionary(design, grid)
+        D_unit = D / np.linalg.norm(D, axis=0)
         rng = np.random.default_rng(4)
         x = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
         y = rng.standard_normal(D.shape[0]) + 1j * rng.standard_normal(D.shape[0])
-        np.testing.assert_allclose(op.matvec(x), D @ x, atol=1e-11)
-        np.testing.assert_allclose(op.rmatvec(y), D.conj().T @ y, atol=1e-11)
-        np.testing.assert_allclose(op.column_norms(), np.linalg.norm(D, axis=0),
-                                   atol=1e-11)
+        np.testing.assert_allclose(op.matvec(x), D_unit @ x, atol=1e-11)
+        np.testing.assert_allclose(op.rmatvec(y), D_unit.conj().T @ y, atol=1e-11)
+        np.testing.assert_allclose(op.atom_norms(), np.linalg.norm(D, axis=0),
+                                   rtol=1e-12)
 
     def test_grid_operator_column_extraction(self):
         design = small_design(seed=5)
@@ -97,8 +100,10 @@ class TestOperators:
 
     def test_normalized_columns_are_unit(self):
         design = small_design(seed=6)
-        op = StackedGridOperator(design, AngleGrid(8, 8), normalize_columns=True)
-        np.testing.assert_allclose(op.column_norms(), 1.0, atol=1e-12)
+        grid = AngleGrid(8, 8)
+        op = StackedGridOperator(design, grid)
+        cols = np.stack([op.column(k) for k in range(grid.size)], axis=1)
+        np.testing.assert_allclose(np.linalg.norm(cols, axis=0), 1.0, atol=1e-12)
 
     def test_stacked_operator_is_block_diagonal(self):
         design = small_design(seed=7)
@@ -106,8 +111,8 @@ class TestOperators:
         base = StackedGridOperator(design, grid)
         stacked = StackedGridOperator(design, grid, 3)
         assert adjoint_mismatch(stacked, np.random.default_rng(8)) < 1e-10
-        np.testing.assert_array_equal(stacked.column_norms(),
-                                      np.tile(base.column_norms(), 3))
+        np.testing.assert_array_equal(stacked.atom_norms(),
+                                      np.tile(base.atom_norms(), 3))
         rng = np.random.default_rng(9)
         xs = [rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
               for _ in range(3)]
@@ -224,7 +229,8 @@ class TestFista:
         op = StackedGridOperator(design, grid)
         x0 = np.zeros(grid.size, dtype=np.complex128)
         x0[[5, 40, 90]] = [1.0, -2.0j, 1.5]
-        y = op.matvec(x0)
+        # path gains x0 on the physical atoms are x0 * atom_norms on the unit ones
+        y = op.matvec(x0 * op.atom_norms())
         res = fista(op, y, FistaConfig(lam=1e-6 * np.linalg.norm(y),
                                        max_iters=8000, tol=1e-16))
         top = np.argsort(np.abs(res.x))[::-1][:3]
@@ -241,6 +247,11 @@ class TestFista:
     def test_invalid_lambda_raises(self):
         with pytest.raises(ValueError):
             FistaConfig(lam=0.0)
+
+    def test_zero_iteration_budget_raises(self):
+        # a zero budget would return the all-zero start as the solution
+        with pytest.raises(ValueError, match="max_iters"):
+            FistaConfig(lam=1.0, max_iters=0)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))
