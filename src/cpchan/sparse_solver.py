@@ -9,6 +9,14 @@ L = 2 * sigma_max(A)^2, the proximal step is complex soft-thresholding with
 threshold lam / L (magnitude shrink, phase preserved), so for A = I the fixed
 point is x = soft(y, lam / 2).
 
+After the first iterations the iterate keeps well under 1% of its
+coefficients, so ``fista`` tracks supports: each iteration still builds the
+gradient step, its magnitudes and the threshold mask over all n
+coefficients, but once at most n / 16 entries pass the threshold test the
+soft threshold, the iterate and momentum updates and the l1 term run on the
+old and new supports only.  The iterates stay bit-identical to the plain
+dense loop.
+
 ``A`` may be a dense ndarray or any object exposing ``shape``, ``matvec`` and
 ``rmatvec``.  The one AoA/AoD grid dictionary operator, ``StackedGridOperator``,
 lives here too: it applies the dictionary matrix-free through its Kronecker
@@ -89,6 +97,10 @@ class FistaConfig:
             raise ValueError("lam must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        if self.step is not None and not 0 < self.step < np.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step}")
 
 
 @dataclass(frozen=True)
@@ -99,13 +111,13 @@ class FistaResult:
     converged: bool = True
 
 
-def soft_threshold(v: np.ndarray, t: float, out=None, mag=None) -> np.ndarray:
-    """Complex soft threshold: shrink magnitudes by t, keep phases.
+def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
+    """Complex soft threshold: shrink magnitudes by t, keep phases."""
+    return _shrink(v, np.abs(v), t)
 
-    ``out`` (complex) receives the result and ``mag`` (real) holds the
-    magnitudes; both have v's shape and are allocated when not given.
-    """
-    mag = np.abs(v, out=mag)
+
+def _shrink(v, mag, t, out=None):
+    """soft_threshold(v, t) given ``mag`` = |v|, which it overwrites."""
     np.maximum(mag, 1e-300, out=mag)
     np.divide(t, mag, out=mag)
     np.subtract(1.0, mag, out=mag)
@@ -113,56 +125,118 @@ def soft_threshold(v: np.ndarray, t: float, out=None, mag=None) -> np.ndarray:
     return np.multiply(v, mag, out=out)
 
 
+# the loop tracks supports once at most 1/SPARSE_SHARE of the coefficients
+# survive the threshold test; above that, fancy indexing costs more than the
+# dense passes it saves
+SPARSE_SHARE = 16
+
+
 def fista(A, y, cfg: FistaConfig) -> FistaResult:
     """FISTA on F(x) = ||y - A x||^2 + lam ||x||_1.
 
-    The coefficient-length vectors live in buffers allocated once per call
-    and updated in place: the iterate, the momentum point, the gradient step
-    (thresholded in place into the next iterate, after which the two swap)
-    and the magnitudes.  The arithmetic is that of the plain allocating
-    loop, operation for operation.
+    Each iteration makes three full-length passes: the gradient step
+    v = z - step * 2 A^H (A z - y), built in place in ``rmatvec``'s output
+    (which must be a new array), its magnitudes |v|, and the mask of
+    candidates ~(|v| <= lam * step), the only entries the soft threshold can
+    keep.  When the candidates number at most n / SPARSE_SHARE, the threshold,
+    the iterate and momentum updates and the l1 term are computed on the old
+    and new supports only; above that the loop stays dense.  Either way the
+    per-entry arithmetic is that of the plain allocating loop, so the
+    iterates and the objective trace are the same bit for bit.
+
+    Memory: the iterate (a dense, zero-padded vector, so ``matvec`` is
+    unchanged) and the momentum point share one block allocated once per
+    call; the magnitudes and the mask are one buffer each.  The gradient-step
+    vector lives only until the threshold: the support-tracking step keeps
+    at most n / SPARSE_SHARE candidates of it and the dense step copies it
+    into the iterate, and both free it before ``matvec``.
     """
     op = as_operator(A)
     y = np.asarray(y, dtype=np.complex128).ravel()
     if y.shape[0] != op.shape[0]:
         raise ValueError(f"y length {y.shape[0]} does not match operator rows {op.shape[0]}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y has non-finite entries")
+    n = op.shape[1]
+    trace = [float(np.linalg.norm(y) ** 2)]
     if cfg.step is not None:
         step = cfg.step
     else:
         smax = top_singular_value(op)
         if smax == 0.0:
-            return FistaResult(np.zeros(op.shape[1], dtype=np.complex128), [0.0], 0, True)
+            return FistaResult(np.zeros(n, dtype=np.complex128), trace, 0, True)
         step = 1.0 / (2.0 * smax**2)
+    thresh = cfg.lam * step
+    # -(2 step) g equals -(step (2 g)) exactly, because doubling is exact
+    neg_two_step = -(2.0 * step)
 
-    # one block, not three vectors: a single large allocation per call also
+    # one block, not two vectors: a single large allocation per call also
     # keeps the allocator from trimming the heap under the operators'
     # per-iteration temporaries, which would page-fault them in afresh on
     # every iteration
-    x, z, v = np.zeros((3, op.shape[1]), dtype=np.complex128)
-    mag = np.empty(op.shape[1])
+    x, z = np.zeros((2, n), dtype=np.complex128)
+    mag = np.empty(n)
+    below = np.empty(n, dtype=bool)
+    # indices outside which x is zero and z is not read (its entries there
+    # are zero in the dense loop but may be stale here); None while dense
+    x_sup = z_sup = np.empty(0, dtype=np.intp)
     ax = np.zeros(op.shape[0], dtype=np.complex128)
     az = ax                      # A z tracked through the linear momentum update
     t_momentum = 1.0
-    trace = [float(np.linalg.norm(y) ** 2)]
     converged = False
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        # x_new = soft_threshold(z - step * (2 * A^H (A z - y))), built in v
-        np.multiply(2.0, op.rmatvec(az - y), out=v)
-        np.multiply(step, v, out=v)
-        np.subtract(z, v, out=v)
-        x_new = soft_threshold(v, cfg.lam * step, out=v, mag=mag)
-        ax_new = op.matvec(x_new)
+        # v = z - step * (2 A^H (A z - y)), as (-(2 step) A^H (A z - y)) + z
+        v = op.rmatvec(az - y)
+        np.multiply(v, neg_two_step, out=v)
+        if z_sup is None:
+            np.add(v, z, out=v)
+        else:
+            v[z_sup] += z[z_sup]
+        np.abs(v, out=mag)
+        np.less_equal(mag, thresh, out=below)
+        n_cand = n - np.count_nonzero(below)
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2)) / 2.0
         beta = (t_momentum - 1.0) / t_new
-        # z = x_new + beta * (x_new - x)
-        np.subtract(x_new, x, out=z)
-        np.multiply(beta, z, out=z)
-        np.add(x_new, z, out=z)
+        if n_cand * SPARSE_SHARE > n:
+            # x_new = soft_threshold(v) in v; z = x_new + beta * (x_new - x)
+            _shrink(v, mag, thresh, out=v)
+            np.subtract(v, x, out=z)
+            np.multiply(beta, z, out=z)
+            np.add(v, z, out=z)
+            np.copyto(x, v)
+            del v
+            x_sup = z_sup = None
+            ax_new = op.matvec(x)
+            np.abs(x, out=mag)
+        else:
+            cand = np.flatnonzero(np.logical_not(below, out=below))
+            x_cand = v[cand]
+            del v
+            _shrink(x_cand, mag[cand], thresh, out=x_cand)
+            if x_sup is None:
+                x_sup = np.flatnonzero(x)
+            # the union of the supports: the candidates, then the old support
+            # entries that are not candidates (below now marks candidates)
+            moved = np.concatenate((cand, x_sup[~below[x_sup]]))
+            dx = x[moved]
+            x[x_sup] = 0.0
+            x[cand] = x_cand
+            # z = x_new + beta * (x_new - x) on the union of the supports
+            x_moved = x[moved]
+            np.subtract(x_moved, dx, out=dx)
+            np.multiply(beta, dx, out=dx)
+            np.add(x_moved, dx, out=dx)
+            z[moved] = dx
+            x_sup, z_sup = cand, moved
+            ax_new = op.matvec(x)
+            # the l1 term sums a dense zero-padded |x|, as the dense loop
+            # does, so the pairwise summation order is the same
+            mag.fill(0.0)
+            mag[cand] = np.abs(x_cand)
         az = ax_new + beta * (ax_new - ax)
-        x, v = x_new, x
         ax, t_momentum = ax_new, t_new
-        obj = float(np.linalg.norm(y - ax) ** 2 + cfg.lam * np.sum(np.abs(x, out=mag)))
+        obj = float(np.linalg.norm(y - ax) ** 2 + cfg.lam * np.sum(mag))
         trace.append(obj)
         if abs(trace[-2] - obj) <= cfg.tol * max(abs(trace[-2]), 1e-30):
             converged = True

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpchan.channel_sim import sample_channel
+from cpchan.cs_baseline import PilotKronOperator
 from cpchan.sparse_solver import (
+    SPARSE_SHARE,
     AngleGrid,
     FistaConfig,
     MatrixOperator,
@@ -141,7 +143,9 @@ class TestOperators:
 
 def allocating_fista(A, y, cfg):
     """Reference FISTA loop that allocates every temporary afresh; the
-    buffered solver must reproduce it bit for bit."""
+    buffered solver must reproduce it bit for bit.  Also returns, per
+    iteration, the number of candidates: gradient-step entries the soft
+    threshold does not zero by the |v| <= lam * step test."""
     op = as_operator(A)
     y = np.asarray(y, dtype=np.complex128).ravel()
     step = cfg.step if cfg.step is not None else 1.0 / (2.0 * top_singular_value(op) ** 2)
@@ -156,10 +160,13 @@ def allocating_fista(A, y, cfg):
     az = ax
     t_momentum = 1.0
     trace = [float(np.linalg.norm(y) ** 2)]
+    candidates = []
     it = 0
     for it in range(1, cfg.max_iters + 1):
         grad = 2.0 * op.rmatvec(az - y)
-        x_new = soft(z - step * grad, cfg.lam * step)
+        v = z - step * grad
+        candidates.append(int(np.count_nonzero(~(np.abs(v) <= cfg.lam * step))))
+        x_new = soft(v, cfg.lam * step)
         ax_new = op.matvec(x_new)
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2)) / 2.0
         beta = (t_momentum - 1.0) / t_new
@@ -170,7 +177,18 @@ def allocating_fista(A, y, cfg):
         trace.append(obj)
         if abs(trace[-2] - obj) <= cfg.tol * max(abs(trace[-2]), 1e-30):
             break
-    return x, trace, it
+    return x, trace, it, candidates
+
+
+def assert_matches_reference(op, y, cfg):
+    """fista equals allocating_fista bit for bit; returns, per iteration,
+    whether the reference's candidates were few enough for support tracking."""
+    res = fista(op, y, cfg)
+    x, trace, iterations, candidates = allocating_fista(op, y, cfg)
+    assert np.array_equal(res.x, x)
+    assert res.objective_trace == trace
+    assert res.iterations == iterations
+    return np.array(candidates) * SPARSE_SHARE <= as_operator(op).shape[1]
 
 
 class TestFista:
@@ -186,11 +204,62 @@ class TestFista:
         for op, y, cfg in (
                 (A, y_dense, FistaConfig(lam=0.1, max_iters=400, tol=1e-10)),
                 (stacked, y_stacked, FistaConfig(lam=0.05, max_iters=150, tol=1e-7))):
-            res = fista(op, y, cfg)
-            x, trace, iterations = allocating_fista(op, y, cfg)
-            assert np.array_equal(res.x, x)
-            assert res.objective_trace == trace
-            assert res.iterations == iterations
+            assert_matches_reference(op, y, cfg)
+
+    def test_support_tracking_matches_reference_bitwise(self):
+        # a sparse scene on a stacked grid: the first iterations keep too many
+        # candidates, the later ones few enough to track supports
+        rng = np.random.default_rng(32)
+        op = StackedGridOperator(small_design(seed=33, m_bs=8, t_prime=8), AngleGrid(32, 16), 2)
+        x0 = np.zeros(op.shape[1], dtype=np.complex128)
+        x0[[7, 300, 612, 900]] = [1.0, -0.8j, 0.6 + 0.6j, 1.2]
+        y = op.matvec(x0) + 0.01 * (rng.standard_normal(op.shape[0])
+                                    + 1j * rng.standard_normal(op.shape[0]))
+        sparse = assert_matches_reference(op, y, FistaConfig(lam=0.05, max_iters=300, tol=1e-9))
+        assert not sparse[0] and sparse.any()
+
+    def test_regime_switching_both_ways_matches_reference_bitwise(self):
+        # candidates hover around n / SPARSE_SHARE, so the loop leaves the
+        # support-tracking step and later returns to it
+        rng = np.random.default_rng(91)
+        A = rng.standard_normal((24, 64)) + 1j * rng.standard_normal((24, 64))
+        y = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+        lam = 0.7 * np.max(np.abs(2.0 * A.conj().T @ y))
+        sparse = assert_matches_reference(A, y, FistaConfig(lam=lam, max_iters=300, tol=1e-12))
+        switches = np.diff(sparse.astype(int))
+        to_dense, to_sparse = np.flatnonzero(switches == -1), np.flatnonzero(switches == 1)
+        assert to_dense.size and to_sparse.size and to_sparse.max() > to_dense.min()
+
+    def test_pilot_kron_problem_matches_reference_bitwise(self):
+        rng = np.random.default_rng(34)
+        design = build_design(rng, 16, 8, 6, 5, 3, (1, 1, 1))
+        op = PilotKronOperator(design, AngleGrid(16, 8))
+        d0 = np.zeros(op.shape[1], dtype=np.complex128)
+        d0[[5, 130, 300]] = [1.0, 0.7j, -0.9]
+        y = op.matvec(d0) + 0.02 * (rng.standard_normal(op.shape[0])
+                                    + 1j * rng.standard_normal(op.shape[0]))
+        sparse = assert_matches_reference(op, y, FistaConfig(lam=0.1, max_iters=400, tol=1e-9))
+        assert sparse.any()
+
+    def test_noiseless_tiny_lambda_stays_dense_and_matches_reference(self):
+        rng = np.random.default_rng(35)
+        A = rng.standard_normal((30, 60)) + 1j * rng.standard_normal((30, 60))
+        x0 = np.zeros(60, dtype=np.complex128)
+        x0[[2, 19, 44]] = [1.0, -2.0j, 0.5 + 0.5j]
+        sparse = assert_matches_reference(A, A @ x0, FistaConfig(lam=1e-6, max_iters=300,
+                                                                 tol=1e-14))
+        assert not sparse.any()
+
+    def test_lambda_above_gradient_keeps_zero_iterate_and_matches_reference(self):
+        rng = np.random.default_rng(36)
+        A = rng.standard_normal((20, 40)) + 1j * rng.standard_normal((20, 40))
+        y = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        # x = 0 is optimal once lam >= max |2 A^H y|
+        lam = 1.01 * np.max(np.abs(2.0 * A.conj().T @ y))
+        cfg = FistaConfig(lam=lam, max_iters=50)
+        x, _, _, candidates = allocating_fista(A, y, cfg)
+        assert not np.any(x) and not any(candidates)
+        assert assert_matches_reference(A, y, cfg).all()
 
     def test_identity_fixed_point(self):
         # for A = I the lasso solution is the soft threshold of y at lam/2
@@ -240,13 +309,32 @@ class TestFista:
         with pytest.raises(ValueError):
             fista(np.eye(3), np.zeros(4), FistaConfig(lam=1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_y_raises(self, bad):
+        y = np.ones(4, dtype=np.complex128)
+        y[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fista(np.eye(4), y, FistaConfig(lam=1.0))
+
     def test_zero_operator_returns_zero(self):
         res = fista(np.zeros((4, 6)), np.ones(4), FistaConfig(lam=1.0))
         np.testing.assert_array_equal(res.x, 0)
+        # the objective at x = 0 is ||y||^2, as the loop's first entry records
+        assert res.objective_trace == [4.0]
 
     def test_invalid_lambda_raises(self):
         with pytest.raises(ValueError):
             FistaConfig(lam=0.0)
+
+    @pytest.mark.parametrize("step", [-1.0, 0.0, np.nan, np.inf])
+    def test_invalid_step_raises(self, step):
+        with pytest.raises(ValueError, match="step"):
+            FistaConfig(lam=1.0, step=step)
+
+    @pytest.mark.parametrize("tol", [-1e-8, np.nan])
+    def test_invalid_tol_raises(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            FistaConfig(lam=1.0, tol=tol)
 
     def test_zero_iteration_budget_raises(self):
         # a zero budget would return the all-zero start as the solution
