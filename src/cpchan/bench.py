@@ -58,7 +58,6 @@ class ExperimentConfig:
     grid_cs1: tuple[int, int] = (64, 32)
     grid_cs2: tuple[int, int] = (128, 64)
     als_max_iters: int = 1000
-    fista_max_iters: int = 150
     # the joint CS solve keeps the plain universal threshold, which is what
     # gives the baseline its best accuracy
     lambda_scale_cs: float = 1.0
@@ -67,12 +66,20 @@ class ExperimentConfig:
     fixed_realization: bool = False
 
     def __post_init__(self):
+        for key in ("paths_per_user", "sweep_values", "methods"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
         for key in ("n_bs", "n_ms", "n_users", "m_bs", "t_prime", "t", "trials",
-                    "als_max_iters", "fista_max_iters"):
+                    "als_max_iters"):
             v = getattr(self, key)
             if not float(v).is_integer() or v < 1:
                 raise ValueError(f"{key} must be a positive integer, got {v!r}")
             object.__setattr__(self, key, int(v))
+        for key in ("grid_cpf", "grid_cs1", "grid_cs2"):
+            v = getattr(self, key)
+            if not (isinstance(v, (list, tuple)) and len(v) == 2
+                    and all(float(n).is_integer() and n >= 1 for n in v)):
+                raise ValueError(f"{key} must be a pair of positive integers, got {v!r}")
+            object.__setattr__(self, key, tuple(int(n) for n in v))
         if len(self.paths_per_user) != self.n_users:
             raise ValueError(f"paths_per_user has {len(self.paths_per_user)} entries "
                              f"for n_users={self.n_users}")
@@ -90,9 +97,6 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(KNOWN_METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
-        object.__setattr__(self, "paths_per_user", tuple(self.paths_per_user))
-        object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
-        object.__setattr__(self, "methods", tuple(self.methods))
 
     @property
     def total_paths(self) -> int:
@@ -110,10 +114,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     unknown = set(d) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    d = dict(d)
-    for key in ("paths_per_user", "sweep_values", "methods", "grid_cpf", "grid_cs1", "grid_cs2"):
-        if key in d:
-            d[key] = tuple(d[key])
     return ExperimentConfig(**d)
 
 
@@ -164,7 +164,6 @@ def _pipeline_config(cfg: ExperimentConfig, known_rank: int | None, als_seed: in
         grid=AngleGrid(*cfg.grid_cpf),
         als=AlsConfig(max_iters=cfg.als_max_iters, k_upper=ALS_K_UPPER, seed=als_seed),
         known_rank=known_rank,
-        fista_max_iters=cfg.fista_max_iters,
     )
 
 

@@ -9,10 +9,11 @@ Pipeline stages:
     best-matching user gets the component, and the complex scale lambda makes
     s_hat ~= lambda * s_user.
 3.  Per user, rebuild the compressed channel  A_Q_u * diag(lambda_u) * A_P_u^T
-    (= Q^T H_u P in the exact case), vectorize it and solve a small l1
-    problem over an AoA/AoD grid; a least-squares refit on the recovered
-    support removes the shrinkage bias before the channel is reassembled from
-    grid steering vectors.
+    (= Q^T H_u P in the exact case), vectorize it and recover its support on
+    an AoA/AoD grid.  With noise that is a small l1 problem followed by a
+    least-squares refit on the recovered support, which removes the shrinkage
+    bias; a noiseless image goes straight to orthogonal matching pursuit.  The
+    channel is then reassembled from grid steering vectors.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ REFIT_RCOND = 1e-2        # truncated-SVD cutoff for the debias refit (see below
 # a hard threshold (large c) suits the per-user refinement, which debiases on
 # the recovered support
 LAMBDA_SCALE = 4.0        # multiplier c on the universal threshold
+FISTA_MAX_ITERS = 150     # iteration budget of the per-user l1 solve
+FISTA_TOL = 1e-7
 SNAP_SWEEPS = 3           # pilot-constrained polish sweeps after assignment
 
 
@@ -127,48 +130,45 @@ def _support_from_magnitudes(mag: np.ndarray, n_measurements: int) -> np.ndarray
     return support
 
 
-def _support_and_refit(
-    op: StackedGridOperator,
-    z: np.ndarray,
-    x: np.ndarray,
-    noise_std: float = 0.0,
-):
+def _support_and_refit(op: StackedGridOperator, z: np.ndarray, x: np.ndarray):
     """Threshold the grid solution and debias on the recovered support.
 
     ``op`` is one unit-column block and ``x`` the l1 solution on it; the
     threshold reads, and the refit returns, physical gains (x / atom_norms).
 
-    Noisy case: the l1 solution under the universal threshold is already
-    concentrated, so a joint least-squares refit over the thresholded atoms
-    removes the shrinkage bias directly.  The refit truncates singular
-    values below REFIT_RCOND of the largest: thresholded supports on an
-    oversampled grid contain near-collinear atom clusters whose unstable
-    directions would otherwise amplify into enormous spurious gains.  That
-    cutoff is set on the physical atoms, so the unit columns are rescaled.
-
-    Noiseless case: the threshold is effectively zero and the iterate stays
-    diffuse over the oversampled (hence highly coherent) grid, where a joint
-    refit is ill-posed — the minimum-norm solution spreads energy across
-    near-collinear columns, matching the compressed measurement while
-    distorting the reconstructed channel.  A greedy (orthogonal matching
-    pursuit) pass over the thresholded candidates, widened with the atoms
-    best correlated with the measurement, keeps only atoms that actually
-    reduce the residual and collapses to the exact support on-grid.
+    The l1 solution under the universal threshold is already concentrated, so
+    a joint least-squares refit over the thresholded atoms removes the
+    shrinkage bias directly.  The refit truncates singular values below
+    REFIT_RCOND of the largest: thresholded supports on an oversampled grid
+    contain near-collinear atom clusters whose unstable directions would
+    otherwise amplify into enormous spurious gains.  That cutoff is set on
+    the physical atoms, so the unit columns are rescaled.
     """
     norms = op.atom_norms()
-    candidates = _support_from_magnitudes(np.abs(x / norms), op.shape[0])
-    if candidates.size == 0:
-        return candidates, np.array([], dtype=np.complex128)
-    if noise_std > 0.0:
-        cols = np.stack([op.column(k) for k in candidates], axis=1) * norms[candidates]
-        gains, *_ = np.linalg.lstsq(cols, z, rcond=REFIT_RCOND)
-        return candidates, gains
-    # the l1 iterate can concentrate on a neighbour cluster that misses the
-    # true atom; make the best-correlated atoms eligible too
-    corr = np.abs(op.rmatvec(z))
+    support = _support_from_magnitudes(np.abs(x / norms), op.shape[0])
+    if support.size == 0:
+        return support, np.array([], dtype=np.complex128)
+    cols = np.stack([op.column(k) for k in support], axis=1) * norms[support]
+    gains, *_ = np.linalg.lstsq(cols, z, rcond=REFIT_RCOND)
+    return support, gains
+
+
+def _omp_support(op: StackedGridOperator, z: np.ndarray):
+    """Greedy support recovery of a noiseless compressed image.
+
+    Without noise an l1 iterate stays diffuse over the oversampled (hence
+    highly coherent) grid, where a joint refit is ill-posed: the
+    minimum-norm solution spreads energy across near-collinear columns,
+    matching the compressed measurement while distorting the reconstructed
+    channel.  Orthogonal matching pursuit over the atoms best correlated
+    with the measurement (a quarter of the measurement count) keeps only
+    atoms that actually reduce the residual and collapses to the exact
+    support on-grid.  Returns the support and its physical gains.
+    """
+    if not np.any(z):
+        return np.array([], dtype=int), np.array([], dtype=np.complex128)
     cap = max(1, op.shape[0] // 4)
-    screened = np.argsort(corr)[::-1][:cap]
-    candidates = np.union1d(candidates, screened)
+    candidates = np.sort(np.argsort(np.abs(op.rmatvec(z)))[::-1][:cap])
     cols = np.stack([op.column(k) for k in candidates], axis=1)
     z_norm = np.linalg.norm(z)
     residual = z
@@ -188,7 +188,7 @@ def _support_and_refit(
             break
     support = candidates[selected]
     order = np.argsort(support)
-    return support[order], gains[order] / norms[support[order]]
+    return support[order], gains[order] / op.atom_norms()[support[order]]
 
 
 def channel_from_grid(
@@ -210,19 +210,6 @@ def channel_from_grid(
     return H
 
 
-def refinement_lambda(
-    z_u: np.ndarray,
-    noise_std: float,
-    n_atoms: int,
-    c: float = 1.0,
-) -> float:
-    """Lambda for the per-user solve; falls back to a tiny data-driven floor
-    when the measurement is noiseless."""
-    if noise_std > 0.0:
-        return universal_lambda(noise_std, n_atoms, c)
-    return max(1e-8 * float(np.max(np.abs(z_u))), 1e-300)
-
-
 def nmse(H_true: list[np.ndarray], H_hat: list[np.ndarray]) -> float:
     """Aggregate NMSE: sum_u ||H_u - H_hat_u||_F^2 / sum_u ||H_u||_F^2."""
     if len(H_true) != len(H_hat):
@@ -239,8 +226,6 @@ class PipelineConfig:
     grid: AngleGrid = AngleGrid(256, 128)
     als: cp_als.AlsConfig = cp_als.AlsConfig()
     known_rank: int | None = None       # run fixed-rank ALS when set
-    fista_max_iters: int = 150
-    fista_tol: float = 1e-7
 
 
 def refine_channels(
@@ -251,29 +236,35 @@ def refine_channels(
 ) -> tuple[list[np.ndarray], bool]:
     """Sparse AoA/AoD recovery of every user's channel from its compressed image.
 
-    Column u of ``Z`` is vec(A_Q_u diag(lambda_u) A_P_u^T) for user u.  Returns
-    the per-user channel matrices and whether the l1 solve converged.
+    Column u of ``Z`` is vec(A_Q_u diag(lambda_u) A_P_u^T) for user u.  With
+    noise, one batched l1 solve (FISTA) and a debias refit per user recover
+    the grid supports; noiseless images go straight to orthogonal matching
+    pursuit.  Returns the per-user channel matrices and whether the l1 solve
+    converged, which is True when no l1 solve ran.
     """
     Z = np.asfortranarray(Z, dtype=np.complex128)
     n_users = Z.shape[1]
     op = StackedGridOperator(design, cfg.grid)
-    z_all = Z.ravel(order="F")
-    lam = refinement_lambda(z_all, noise_std, cfg.grid.size, LAMBDA_SCALE)
-    # all users share the dictionary, so the per-user solves batch into one
-    # block-diagonal FISTA run; its blocks are identical, so its top singular
-    # value is the single block's
-    step = 1.0 / (2.0 * top_singular_value(op) ** 2)
-    sol = fista(
-        StackedGridOperator(design, cfg.grid, n_users),
-        z_all,
-        FistaConfig(lam=lam, max_iters=cfg.fista_max_iters, tol=cfg.fista_tol, step=step),
-    )
-    X = sol.x.reshape(cfg.grid.size, n_users, order="F")
-    channels = []
-    for u in range(n_users):
-        support, gains = _support_and_refit(op, Z[:, u], X[:, u], noise_std)
-        channels.append(channel_from_grid(support, gains, cfg.grid, design.n_bs, design.n_ms))
-    return channels, sol.converged
+    if noise_std > 0.0:
+        lam = universal_lambda(noise_std, cfg.grid.size, LAMBDA_SCALE)
+        # all users share the dictionary, so the per-user solves batch into
+        # one block-diagonal FISTA run; its blocks are identical, so its top
+        # singular value is the single block's
+        step = 1.0 / (2.0 * top_singular_value(op) ** 2)
+        sol = fista(
+            StackedGridOperator(design, cfg.grid, n_users),
+            Z.ravel(order="F"),
+            FistaConfig(lam=lam, max_iters=FISTA_MAX_ITERS, tol=FISTA_TOL, step=step),
+        )
+        X = sol.x.reshape(cfg.grid.size, n_users, order="F")
+        supports = [_support_and_refit(op, Z[:, u], X[:, u]) for u in range(n_users)]
+        converged = sol.converged
+    else:
+        supports = [_omp_support(op, Z[:, u]) for u in range(n_users)]
+        converged = True
+    channels = [channel_from_grid(support, gains, cfg.grid, design.n_bs, design.n_ms)
+                for support, gains in supports]
+    return channels, converged
 
 
 def estimate_all(

@@ -241,7 +241,8 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
         if abs(trace[-2] - obj) <= cfg.tol * max(abs(trace[-2]), 1e-30):
             converged = True
             break
-    return FistaResult(x, trace, it, converged)
+    # a copy, so that a caller keeping the result does not keep the block
+    return FistaResult(x.copy(), trace, it, converged)
 
 
 def universal_lambda(noise_std: float, n_atoms: int, c: float = 1.0) -> float:

@@ -82,7 +82,7 @@ def test_noiseless_exact_recovery_rate():
     grid = AngleGrid(64, 32)
     pcfg = PipelineConfig(
         grid=grid, als=AlsConfig(max_iters=1000, tol=1e-10),
-        known_rank=4, fista_max_iters=400, fista_tol=1e-10)
+        known_rank=4)
     hits = 0
     for trial in range(100):
         rng = np.random.default_rng(10_000 + trial)

@@ -27,7 +27,7 @@ TINY = dict(
     n_bs=16, n_ms=8, n_users=2, paths_per_user=(1, 1), m_bs=6, t_prime=6, t=2,
     snr_db=30.0, trials=1, seed=5,
     grid_cpf=(32, 16), grid_cs1=(16, 8), grid_cs2=(32, 16),
-    als_max_iters=200, fista_max_iters=100)
+    als_max_iters=200)
 
 
 class TestConfig:
@@ -52,7 +52,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("n_bs", 16.5), ("n_ms", 8.25), ("n_users", 2.5), ("m_bs", 6.5), ("t_prime", 6.5),
-        ("t", 2.5), ("trials", 1.5), ("als_max_iters", 10.5), ("fista_max_iters", 20.5)])
+        ("t", 2.5), ("trials", 1.5), ("als_max_iters", 10.5)])
     def test_non_integral_field_is_named(self, key, value):
         with pytest.raises(ValueError, match=rf"{key}.*{re.escape(repr(value))}"):
             config_from_dict({**TINY, key: value})
@@ -61,10 +61,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"paths_per_user.*2.*n_users=3"):
             config_from_dict({**TINY, "n_users": 3})
 
-    @pytest.mark.parametrize("key", ["als_max_iters", "fista_max_iters"])
+    @pytest.mark.parametrize("key", ["als_max_iters"])
     def test_zero_iteration_budget_is_rejected(self, key):
         with pytest.raises(ValueError, match=key):
             config_from_dict({**TINY, key: 0})
+
+    @pytest.mark.parametrize("key, value", [
+        ("grid_cpf", [0, 16]), ("grid_cpf", [32]), ("grid_cs1", [2.5, 16])])
+    def test_grid_that_is_not_a_pair_of_positive_ints_is_named(self, key, value):
+        with pytest.raises(ValueError, match=rf"{key}.*{re.escape(repr(value))}"):
+            config_from_dict({**TINY, key: value})
+
+    def test_grid_lists_become_hashable_int_pairs(self):
+        cfg = ExperimentConfig(grid_cpf=[32, 16], grid_cs1=[16.0, 8.0])
+        assert (cfg.grid_cpf, cfg.grid_cs1) == ((32, 16), (16, 8))
+        assert all(type(n) is int for n in cfg.grid_cs1)
+        hash(cfg)
 
     def test_at_point_pins_sweep_variable(self):
         cfg = ExperimentConfig(sweep_variable="snr_db", sweep_values=(0.0, 20.0))

@@ -16,7 +16,6 @@ from cpchan.channel_recovery import (
     nmse,
     pilot_constrained_polish,
     refine_channels,
-    refinement_lambda,
     resolve_ambiguity,
 )
 from cpchan.channel_sim import (
@@ -34,6 +33,7 @@ from cpchan.sparse_solver import (
     fista,
     grid_responses,
     top_singular_value,
+    universal_lambda,
 )
 from cpchan.tensor_core import ComplexTensor3, FactorTriple, compose, frobenius_norm
 from cpchan.training_design import build_design, pilot_matrix
@@ -133,18 +133,6 @@ class TestNmse:
             nmse([np.zeros((2, 2))], [np.zeros((2, 2))])
 
 
-class TestRefinementLambda:
-    def test_noisy_uses_universal_threshold(self):
-        lam = refinement_lambda(np.ones(4), noise_std=2.0, n_atoms=100, c=3.0)
-        assert lam == pytest.approx(6.0 * np.sqrt(2 * np.log(100)))
-
-    def test_noiseless_floor_is_tiny_but_positive(self):
-        z = np.array([0.5, -2.0, 1.0])
-        lam = refinement_lambda(z, noise_std=0.0, n_atoms=100)
-        assert lam == pytest.approx(2e-8)
-        assert lam > 0
-
-
 def on_grid_scene(seed, n_users, paths, n_bs, n_ms, m_bs, t_prime, t, grid):
     rng = np.random.default_rng(seed)
     channel = sample_channel_on_grid(
@@ -168,10 +156,24 @@ class TestEstimateUserChannel:
         channel, design = on_grid_scene(7, 1, (2,), 16, 8, 16, 16, 2, grid)
         H_true = assemble_all(channel)[0]
         z = (design.Q.T @ H_true @ design.P).ravel(order="F")
-        cfg = PipelineConfig(grid=grid, fista_max_iters=3000, fista_tol=1e-14)
+        cfg = PipelineConfig(grid=grid)
         (H,), _ = refine_channels(z[:, None], design, cfg, noise_std=0.0)
         assert nmse([H_true], [H]) < 1e-10
         assert [s.size for s in supports] == [2]
+
+    def test_noiseless_runs_no_l1_solve(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("noiseless refinement ran an l1 solve")
+
+        monkeypatch.setattr(channel_recovery, "fista", unreachable)
+        monkeypatch.setattr(channel_recovery, "top_singular_value", unreachable)
+        grid = AngleGrid(32, 16)
+        channel, design = on_grid_scene(23, 2, (1, 2), 16, 8, 16, 16, 2, grid)
+        H_true = assemble_all(channel)
+        Z = np.stack([(design.Q.T @ H @ design.P).ravel(order="F") for H in H_true], axis=1)
+        H, converged = refine_channels(Z, design, PipelineConfig(grid=grid), noise_std=0.0)
+        assert nmse(H_true, H) < 1e-10
+        assert converged
 
     def test_zero_input_gives_zero_channel(self):
         rng = np.random.default_rng(8)
@@ -243,16 +245,23 @@ def reference_support_and_refit(op, z, x, noise_std):
 def reference_refine_channels(Z, design, cfg, noise_std):
     """refine_channels on three operators: the physical block for the
     thresholds and refits, a unit block for the step size and the unit
-    n_users stack for FISTA.  Returns channels, FISTA iterations, supports."""
+    n_users stack for FISTA.  Noiseless images take the earlier algorithm:
+    a long FISTA run at a tiny lambda floor, whose thresholded support joins
+    the OMP candidates.  Returns channels, FISTA iterations, supports."""
     Z = np.asfortranarray(Z, dtype=np.complex128)
     n_users = Z.shape[1]
     op = PhysicalGridBlock(design, cfg.grid)
     z_all = Z.ravel(order="F")
-    lam = refinement_lambda(z_all, noise_std, cfg.grid.size, channel_recovery.LAMBDA_SCALE)
     step = 1.0 / (2.0 * top_singular_value(StackedGridOperator(design, cfg.grid)) ** 2)
-    sol = fista(StackedGridOperator(design, cfg.grid, n_users), z_all,
-                FistaConfig(lam=lam, max_iters=cfg.fista_max_iters, tol=cfg.fista_tol,
-                            step=step))
+    if noise_std > 0.0:
+        fcfg = FistaConfig(
+            lam=universal_lambda(noise_std, cfg.grid.size, channel_recovery.LAMBDA_SCALE),
+            max_iters=channel_recovery.FISTA_MAX_ITERS, tol=channel_recovery.FISTA_TOL,
+            step=step)
+    else:
+        fcfg = FistaConfig(lam=max(1e-8 * float(np.max(np.abs(z_all))), 1e-300),
+                           max_iters=1000, tol=1e-12, step=step)
+    sol = fista(StackedGridOperator(design, cfg.grid, n_users), z_all, fcfg)
     X = sol.x.reshape(cfg.grid.size, n_users, order="F") / op.column_norms()[:, None]
     channels, supports = [], []
     for u in range(n_users):
@@ -282,7 +291,7 @@ class TestRefineChannelsParity:
         monkeypatch.setattr(channel_recovery, "fista", recording_fista)
         monkeypatch.setattr(channel_recovery, "channel_from_grid", recording_channel_from_grid)
         got, _ = refine_channels(Z, design, cfg, noise_std)
-        assert iterations == [want_iterations]
+        assert iterations == ([want_iterations] if noise_std > 0.0 else [])
         assert len(supports) == len(want_supports)
         for a, b in zip(supports, want_supports):
             np.testing.assert_array_equal(a, b)
@@ -307,8 +316,7 @@ class TestRefineChannelsParity:
         channel, design = on_grid_scene(22, 3, (1, 2, 1), 16, 8, 8, 8, 3, grid)
         Z = np.stack([(design.Q.T @ H @ design.P).ravel(order="F")
                       for H in assemble_all(channel)], axis=1)
-        cfg = PipelineConfig(grid=grid, fista_max_iters=1000, fista_tol=1e-12)
-        self.check(monkeypatch, Z, design, cfg, 0.0)
+        self.check(monkeypatch, Z, design, PipelineConfig(grid=grid), 0.0)
 
 
 class TestEstimateAll:
@@ -318,7 +326,7 @@ class TestEstimateAll:
         meas = simulate(channel, design, None)
         cfg = PipelineConfig(
             grid=grid, als=AlsConfig(max_iters=500, tol=1e-10),
-            known_rank=3, fista_max_iters=2000, fista_tol=1e-12)
+            known_rank=3)
         res = estimate_all(meas, design, cfg, channel)
         assert res.nmse_total < 1e-6
         np.testing.assert_array_equal(res.resolution.paths_per_user, [1, 1, 1])
@@ -328,8 +336,7 @@ class TestEstimateAll:
         channel, design = on_grid_scene(12, 3, (1, 2, 1), 32, 16, 10, 10, 4, grid)
         meas = simulate(channel, design, None)
         cfg = PipelineConfig(
-            grid=grid, als=AlsConfig(k_upper=10, max_iters=800, tol=1e-9),
-            fista_max_iters=2000, fista_tol=1e-12)
+            grid=grid, als=AlsConfig(k_upper=10, max_iters=800, tol=1e-9))
         res = estimate_all(meas, design, cfg, channel)
         assert res.estimated_rank == 4
         assert res.nmse_total < 1e-4

@@ -267,6 +267,13 @@ class TestFista:
         res = fista(np.eye(3), y, FistaConfig(lam=1.0, max_iters=2000, tol=1e-15))
         np.testing.assert_allclose(res.x, soft_threshold(y, 0.5), atol=1e-8)
 
+    def test_result_owns_its_iterate(self):
+        # a view of the solver's work block would keep its momentum half alive
+        rng = np.random.default_rng(24)
+        A = rng.standard_normal((12, 30)) + 1j * rng.standard_normal((12, 30))
+        res = fista(A, A[:, 4], FistaConfig(lam=0.1, max_iters=20))
+        assert res.x.base is None
+
     def test_long_run_reaches_self_oracle_gap(self):
         # solution after few iterations vs. a long run of the same solver:
         # the objective gap must close below 1e-6 of the initial objective
