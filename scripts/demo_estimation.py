@@ -37,10 +37,8 @@ def main() -> None:
 
     from cpchan.cp_als import AlsConfig
 
-    # component budget ~2x the expected path count so rank estimation can
-    # overshoot and prune
-    cfg = channel_recovery.PipelineConfig(
-        als=AlsConfig(k_upper=2 * sum(paths), max_iters=1000))
+    # the rank is estimated within the default 26-component budget
+    cfg = channel_recovery.PipelineConfig(als=AlsConfig(max_iters=1000))
     res = channel_recovery.estimate_all(meas, design, cfg, channel)
     print(f"\ntensor factorization pipeline  "
           f"nmse={res.nmse_total:.3e}  rank={res.estimated_rank}  "

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -36,14 +37,21 @@ CSV_HEADER = [
 ]
 
 KNOWN_METHODS = ("cpf_known_L", "cpf_regularized", "cs_grid1", "cs_grid2")
-ALS_K_UPPER = 26   # component budget of rank-estimating ALS, about 2x table1's 13 paths
+
+
+def _is_finite_real(v) -> bool:
+    """A finite real number; bools and strings are not numbers here."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and bool(np.isfinite(v))
+
+
+def _is_count(v) -> bool:
+    return _is_finite_real(v) and float(v).is_integer() and v >= 1
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     n_bs: int = 64
     n_ms: int = 32
-    n_users: int = 8
     paths_per_user: tuple[int, ...] = (1, 1, 1, 2, 2, 2, 2, 2)
     m_bs: int = 16
     t_prime: int = 16
@@ -66,37 +74,45 @@ class ExperimentConfig:
     fixed_realization: bool = False
 
     def __post_init__(self):
-        for key in ("paths_per_user", "sweep_values", "methods"):
+        for key in ("sweep_values", "methods"):
             object.__setattr__(self, key, tuple(getattr(self, key)))
-        for key in ("n_bs", "n_ms", "n_users", "m_bs", "t_prime", "t", "trials",
-                    "als_max_iters"):
+        v = self.paths_per_user  # the only description of the users
+        if not (isinstance(v, (list, tuple)) and v and all(_is_count(n) for n in v)):
+            raise ValueError(f"paths_per_user must be a nonempty list of positive "
+                             f"integers, got {v!r}")
+        object.__setattr__(self, "paths_per_user", tuple(int(n) for n in v))
+        for key in ("n_bs", "n_ms", "m_bs", "t_prime", "t", "trials", "als_max_iters"):
             v = getattr(self, key)
-            if not float(v).is_integer() or v < 1:
+            if not _is_count(v):
                 raise ValueError(f"{key} must be a positive integer, got {v!r}")
             object.__setattr__(self, key, int(v))
         for key in ("grid_cpf", "grid_cs1", "grid_cs2"):
             v = getattr(self, key)
             if not (isinstance(v, (list, tuple)) and len(v) == 2
-                    and all(float(n).is_integer() and n >= 1 for n in v)):
+                    and all(_is_count(n) for n in v)):
                 raise ValueError(f"{key} must be a pair of positive integers, got {v!r}")
             object.__setattr__(self, key, tuple(int(n) for n in v))
-        if len(self.paths_per_user) != self.n_users:
-            raise ValueError(f"paths_per_user has {len(self.paths_per_user)} entries "
-                             f"for n_users={self.n_users}")
+        if self.snr_db is not None and not _is_finite_real(self.snr_db):
+            raise ValueError(f"snr_db must be null or a finite number, got {self.snr_db!r}")
         if self.sweep_variable is not None and not self.sweep_values:
             raise ValueError("sweep_values must be nonempty when sweeping")
         if self.sweep_variable not in (None, "snr_db", "t", "m_bs", "t_prime"):
             raise ValueError(f"unknown sweep variable {self.sweep_variable}")
-        if self.sweep_variable in ("t", "m_bs", "t_prime"):
-            for v in self.sweep_values:
-                if not float(v).is_integer():
-                    raise ValueError(f"sweep_values for {self.sweep_variable} must be "
-                                     f"integers, got {v!r}")
+        snr = self.sweep_variable == "snr_db"
+        for v in self.sweep_values if self.sweep_variable else ():
+            if not (_is_finite_real(v) if snr else _is_count(v)):
+                kind = "finite numbers" if snr else "positive integers"
+                raise ValueError(f"sweep_values for {self.sweep_variable} must be "
+                                 f"{kind}, got {v!r}")
         if not self.methods:
             raise ValueError(f"methods must be nonempty, got {self.methods!r}")
         unknown = set(self.methods) - set(KNOWN_METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+
+    @property
+    def n_users(self) -> int:
+        return len(self.paths_per_user)
 
     @property
     def total_paths(self) -> int:
@@ -162,7 +178,7 @@ def _trial_seed(root: int, point_idx: int, trial: int) -> np.random.SeedSequence
 def _pipeline_config(cfg: ExperimentConfig, known_rank: int | None, als_seed: int):
     return channel_recovery.PipelineConfig(
         grid=AngleGrid(*cfg.grid_cpf),
-        als=AlsConfig(max_iters=cfg.als_max_iters, k_upper=ALS_K_UPPER, seed=als_seed),
+        als=AlsConfig(max_iters=cfg.als_max_iters, seed=als_seed),
         known_rank=known_rank,
     )
 

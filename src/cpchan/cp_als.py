@@ -50,7 +50,7 @@ PRUNE_THRESHOLD = 1e-2     # drop components below this share of the largest ene
 class AlsConfig:
     max_iters: int = 500
     tol: float = 1e-6          # relative change of stacked factors
-    k_upper: int = 8           # component budget K for the regularized solver
+    k_upper: int = 26          # regularized solver's component budget, ~2x table1's 13 paths
     seed: int = 0
 
     def __post_init__(self):

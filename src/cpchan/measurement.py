@@ -6,7 +6,8 @@ The noiseless received data form a rank-L tensor of dims m_bs x t_prime x t:
 
 with a_q(l) = alpha_l * Q^T a_bs(theta_l)  (path gain absorbed on the BS side),
      a_p(l) = P^T a_ms(phi_l),
-     s_bar(l) = the owning user's pilot column.
+     s_bar(l) = the owning user's pilot column; the channel, not the design,
+                says which user owns which path.
 
 Noise is i.i.d. circular complex Gaussian scaled so that the *realized*
 signal-to-noise ratio ||X||_F^2 / ||W||_F^2 equals 10^(snr_db/10) exactly,
@@ -35,7 +36,11 @@ class MeasurementTensor:
 
 
 def ideal_factors(channel: GeometricChannel, design: TrainingDesign):
-    """Noiseless CP factors (A_Q, A_P, S_L) of the received tensor."""
+    """Noiseless CP factors (A_Q, A_P, S_L) of the received tensor; column l of
+    S_L copies the pilot column of the user that owns path l."""
+    if channel.n_users != design.n_users:
+        raise ValueError(f"channel has {channel.n_users} users but the design has "
+                         f"{design.n_users} pilot columns")
     paths = channel.flat_paths()
     gains = np.array([p.gain for p in paths])
     sin_aoa = np.array([np.sin(p.aoa) for p in paths])
@@ -44,7 +49,8 @@ def ideal_factors(channel: GeometricChannel, design: TrainingDesign):
     A_ms = steering_from_sin(sin_aod, channel.n_ms)
     A_Q = (design.Q.T @ A_bs) * gains[None, :]
     A_P = design.P.T @ A_ms
-    return A_Q, A_P, design.S_L
+    S_L = design.S[:, np.repeat(np.arange(channel.n_users), channel.paths_per_user)]
+    return A_Q, A_P, S_L
 
 
 def noiseless_tensor(channel: GeometricChannel, design: TrainingDesign) -> ComplexTensor3:

@@ -3,9 +3,8 @@
 A training design consists of
   * P  (n_ms x t_prime)  common beamforming matrix, entries (1/n_ms) e^{j*theta},
   * Q  (n_bs x m_bs)     combining matrix, entries (1/n_bs) e^{j*theta},
-  * S  (t x u)           pilot matrix with unit-norm columns,
-  * O  (u x L)           0/1 block selector expanding S to the per-path pilot
-                          matrix S_L = S @ O.
+  * S  (t x u)           pilot matrix with unit-norm columns, one per user.
+It holds no path counts: those belong to the channel (measurement.ideal_factors).
 
 The constant-modulus scaling of P and Q follows the analog phase-shifter
 constraint (note the 1/n scaling, not 1/sqrt(n); it only shifts the global
@@ -30,25 +29,17 @@ class TrainingDesign:
     P: np.ndarray  # n_ms x t_prime
     Q: np.ndarray  # n_bs x m_bs
     S: np.ndarray  # t x u
-    O: np.ndarray  # u x L, 0/1 block selector
 
     def __post_init__(self):
         # private copies: freezing must not make the caller's arrays read-only
         P = np.array(self.P, dtype=np.complex128)
         Q = np.array(self.Q, dtype=np.complex128)
         S = np.array(self.S, dtype=np.complex128)
-        O = np.array(self.O, dtype=np.float64)
-        if O.ndim != 2 or O.shape[0] != S.shape[1]:
-            raise ValueError("O must be u x L with u = pilot column count")
-        col_sums = O.sum(axis=0)
-        if not np.all((O == 0) | (O == 1)) or not np.all(col_sums == 1):
-            raise ValueError("each column of O must contain exactly one 1")
-        for m in (P, Q, S, O):
+        for m in (P, Q, S):
             m.setflags(write=False)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "S", S)
-        object.__setattr__(self, "O", O)
 
     @property
     def n_ms(self) -> int:
@@ -74,28 +65,6 @@ class TrainingDesign:
     def n_users(self) -> int:
         return self.S.shape[1]
 
-    @property
-    def paths_per_user(self) -> list[int]:
-        return [int(r) for r in self.O.sum(axis=1)]
-
-    @property
-    def S_L(self) -> np.ndarray:
-        """Per-path pilot matrix: column l repeats the owning user's pilots."""
-        return self.S @ self.O
-
-
-def expansion_matrix(paths_per_user) -> np.ndarray:
-    """Block selector O: row u has ones over user u's contiguous path block."""
-    paths_per_user = [int(l) for l in paths_per_user]
-    if any(l < 1 for l in paths_per_user):
-        raise ValueError("every user needs at least one path")
-    U, L = len(paths_per_user), sum(paths_per_user)
-    O = np.zeros((U, L))
-    k = 0
-    for u, lu in enumerate(paths_per_user):
-        O[u, k:k + lu] = 1.0
-        k += lu
-    return O
 
 
 def random_unit_modulus(rng: np.random.Generator, rows: int, cols: int, scale: float) -> np.ndarray:
@@ -174,13 +143,12 @@ def build_design(
     t: int,
     paths_per_user,
 ) -> TrainingDesign:
-    """Random constant-modulus P and Q plus a coherence-minimized pilot matrix."""
-    u = len(list(paths_per_user))
+    """Random constant-modulus P and Q plus a coherence-minimized pilot matrix
+    with one column per user; only ``len(paths_per_user)`` is read."""
     return TrainingDesign(
         P=random_unit_modulus(rng, n_ms, t_prime, 1.0 / n_ms),
         Q=random_unit_modulus(rng, n_bs, m_bs, 1.0 / n_bs),
-        S=pilot_matrix(rng, t, u),
-        O=expansion_matrix(paths_per_user),
+        S=pilot_matrix(rng, t, len(list(paths_per_user))),
     )
 
 

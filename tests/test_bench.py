@@ -21,10 +21,11 @@ from cpchan.bench import (
     run_sweep,
     run_trial,
 )
+from cpchan.cp_als import AlsConfig
 from cpchan.training_design import check_uniqueness
 
 TINY = dict(
-    n_bs=16, n_ms=8, n_users=2, paths_per_user=(1, 1), m_bs=6, t_prime=6, t=2,
+    n_bs=16, n_ms=8, paths_per_user=(1, 1), m_bs=6, t_prime=6, t=2,
     snr_db=30.0, trials=1, seed=5,
     grid_cpf=(32, 16), grid_cs1=(16, 8), grid_cs2=(32, 16),
     als_max_iters=200)
@@ -44,6 +45,10 @@ class TestConfig:
             config_from_dict({"sweep_variable": "m_bs", "sweep_values": [8, 12.5]})
         with pytest.raises(ValueError, match=r"methods.*\(\)"):
             config_from_dict({"methods": []})
+        with pytest.raises(ValueError, match=r"snr_db.*'10'"):
+            config_from_dict({"sweep_variable": "snr_db", "sweep_values": [0, "10"]})
+        with pytest.raises(ValueError, match=r"\bt\b.*\b0\b"):
+            config_from_dict({"sweep_variable": "t", "sweep_values": [2, 0]})
 
     def test_integer_fields_are_coerced(self):
         cfg = config_from_dict({**TINY, "m_bs": 6.0, "t": 2.0, "trials": 1.0})
@@ -51,15 +56,21 @@ class TestConfig:
         assert all(type(v) is int for v in (cfg.m_bs, cfg.t, cfg.trials))
 
     @pytest.mark.parametrize("key, value", [
-        ("n_bs", 16.5), ("n_ms", 8.25), ("n_users", 2.5), ("m_bs", 6.5), ("t_prime", 6.5),
-        ("t", 2.5), ("trials", 1.5), ("als_max_iters", 10.5)])
+        ("n_bs", 16.5), ("n_ms", 8.25), ("m_bs", 6.5), ("t_prime", 6.5),
+        ("t", 2.5), ("trials", 1.5), ("als_max_iters", 10.5),
+        ("n_bs", "16"), ("t", "2"), ("trials", True), ("m_bs", False),
+        ("paths_per_user", [1, 0]), ("paths_per_user", [1, 1.5]),
+        ("paths_per_user", ["1", 1]), ("paths_per_user", [True, 1]), ("paths_per_user", []),
+        ("snr_db", "30"), ("snr_db", True), ("snr_db", float("inf"))])
     def test_non_integral_field_is_named(self, key, value):
         with pytest.raises(ValueError, match=rf"{key}.*{re.escape(repr(value))}"):
             config_from_dict({**TINY, key: value})
 
-    def test_paths_per_user_length_must_match_n_users(self):
-        with pytest.raises(ValueError, match=r"paths_per_user.*2.*n_users=3"):
-            config_from_dict({**TINY, "n_users": 3})
+    def test_n_users_is_not_a_key(self):
+        # the user count is read off paths_per_user, never stated twice
+        assert ExperimentConfig(**TINY).n_users == 2
+        with pytest.raises(ValueError, match=r"unknown config keys.*n_users"):
+            config_from_dict({**TINY, "n_users": 2})
 
     @pytest.mark.parametrize("key", ["als_max_iters"])
     def test_zero_iteration_budget_is_rejected(self, key):
@@ -67,7 +78,8 @@ class TestConfig:
             config_from_dict({**TINY, key: 0})
 
     @pytest.mark.parametrize("key, value", [
-        ("grid_cpf", [0, 16]), ("grid_cpf", [32]), ("grid_cs1", [2.5, 16])])
+        ("grid_cpf", [0, 16]), ("grid_cpf", [32]), ("grid_cs1", [2.5, 16]),
+        ("grid_cpf", ["32", 16]), ("grid_cs2", [True, 16])])
     def test_grid_that_is_not_a_pair_of_positive_ints_is_named(self, key, value):
         with pytest.raises(ValueError, match=rf"{key}.*{re.escape(repr(value))}"):
             config_from_dict({**TINY, key: value})
@@ -116,6 +128,12 @@ class TestConfig:
 
 
 class TestRunTrial:
+    def test_harness_runs_the_library_als_budget(self):
+        # the harness and a caller of estimate_all with the default config
+        # estimate the rank within the same component budget
+        pcfg = bench._pipeline_config(ExperimentConfig(**TINY), None, 0)
+        assert pcfg.als.k_upper == AlsConfig().k_upper
+
     def test_deterministic_given_seeds(self):
         cfg = ExperimentConfig(**TINY, methods=("cpf_known_L", "cs_grid1"))
         r1 = run_trial(cfg, 0, 0)
@@ -156,7 +174,7 @@ class TestRunTrial:
     def test_uniqueness_past_krank_limit_is_unknown(self):
         # 21 single-path users on 6 beams: the steering k-rank needs an
         # exhaustive search past its limit, which must not stop the trial
-        cfg = ExperimentConfig(**{**TINY, "n_users": 21, "paths_per_user": (1,) * 21},
+        cfg = ExperimentConfig(**{**TINY, "paths_per_user": (1,) * 21},
                                methods=("cs_grid1",))
         (row,) = run_trial(cfg, 0, 0)
         assert row.uniqueness == "unknown"
@@ -280,13 +298,13 @@ class TestCheckUniquenessCli:
         assert len(seen) == len(evaluated) == 2
         for (d_cli, ch_cli), (d_run, ch_run) in zip(seen, evaluated):
             assert ch_cli == ch_run
-            for name in ("P", "Q", "S", "O"):
+            for name in ("P", "Q", "S"):
                 np.testing.assert_array_equal(getattr(d_cli, name), getattr(d_run, name))
         out = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in out] == ["t=2", "t=3"]
 
     def test_scene_past_krank_limit_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**TINY, "n_users": 21, "paths_per_user": [1] * 21}))
+        path.write_text(json.dumps({**TINY, "paths_per_user": [1] * 21}))
         assert cli.main(["check-uniqueness", str(path)]) == 1
         assert "exhaustive search limit" in capsys.readouterr().err

@@ -50,6 +50,17 @@ class TestNoiselessModel:
         np.testing.assert_allclose(Y.data, noiseless_tensor(channel, design).data,
                                    rtol=1e-11, atol=1e-13)
 
+    @pytest.mark.parametrize("build", [ideal_factors, simulate])
+    def test_user_count_mismatch_raises(self, build):
+        # three single-path users against a design for two users: the same
+        # three paths in total, but one pilot column too few
+        rng = np.random.default_rng(3)
+        channel = sample_channel(rng, 3, (1, 1, 1), 16, 8)
+        design = build_design(rng, 16, 8, 6, 5, 4, (1, 2))
+        args = (channel, design) if build is ideal_factors else (channel, design, None)
+        with pytest.raises(ValueError, match=r"3 users.*2 pilot columns"):
+            build(*args)
+
     def test_single_path_tensor_is_rank_one(self):
         channel, design = small_scene(seed=2, n_users=1, paths=(1,))
         X = noiseless_tensor(channel, design)

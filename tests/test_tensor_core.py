@@ -16,7 +16,7 @@ from cpchan.tensor_core import (
     mode_n_product,
     unfold,
 )
-from cpchan.training_design import TrainingDesign, expansion_matrix
+from cpchan.training_design import TrainingDesign
 
 
 def random_tensor(rng, dims):
@@ -263,11 +263,10 @@ class TestTypeInvariants:
         data = rng.standard_normal((2, 3, 4)) + 0j
         A, B, C = (rng.standard_normal((d, 2)) + 0j for d in (2, 3, 4))
         P, Q, S = (rng.standard_normal((4, 2)) + 0j for _ in range(3))
-        O = expansion_matrix((1, 1))
         X = ComplexTensor3(data)
         F = FactorTriple(A, B, C)
-        TrainingDesign(P=P, Q=Q, S=S, O=O)
-        for arr in (data, A, B, C, P, Q, S, O):
+        TrainingDesign(P=P, Q=Q, S=S)
+        for arr in (data, A, B, C, P, Q, S):
             assert arr.flags.writeable
         data[0, 0, 0] = 5.0
         A[0, 0] = 5.0

@@ -1,4 +1,4 @@
-"""Training artifacts: P/Q/S/O construction, coherence, k-rank, uniqueness."""
+"""Training artifacts: P/Q/S construction, coherence, k-rank, uniqueness."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from itertools import combinations
 
 from cpchan.channel_sim import sample_channel
+from cpchan.measurement import ideal_factors
 from cpchan.training_design import (
     KRANK_EXHAUSTIVE_MAX,
     TrainingDesign,
     build_design,
     check_uniqueness,
     dft_matrix,
-    expansion_matrix,
     krank,
     krank_partitioned,
     minimize_coherence,
@@ -74,31 +74,18 @@ class TestPilotMatrix:
 
 
 class TestExpansionMatrix:
-    def test_block_structure(self):
-        O = expansion_matrix((1, 2, 2))
-        assert O.shape == (3, 5)
-        assert np.all(O.sum(axis=0) == 1)          # one 1 per column
-        np.testing.assert_array_equal(O.sum(axis=1), [1, 2, 2])
-        # contiguous blocks
-        np.testing.assert_array_equal(O[0], [1, 0, 0, 0, 0])
-        np.testing.assert_array_equal(O[1], [0, 1, 1, 0, 0])
-        np.testing.assert_array_equal(O[2], [0, 0, 0, 1, 1])
-
     def test_pilot_replication(self):
+        # each path carries its owner's pilot column, with paths counted by
+        # the channel: equal to the block-selector product S @ O
         rng = np.random.default_rng(4)
-        S = pilot_matrix(rng, 4, 3)
-        d = TrainingDesign(
-            P=random_unit_modulus(rng, 8, 8, 1 / 8),
-            Q=random_unit_modulus(rng, 16, 8, 1 / 16),
-            S=S,
-            O=expansion_matrix((1, 2, 2)),
-        )
-        S_L = d.S_L
-        np.testing.assert_allclose(S_L[:, 0], S[:, 0], atol=1e-15)
-        np.testing.assert_allclose(S_L[:, 1], S[:, 1], atol=1e-15)
-        np.testing.assert_allclose(S_L[:, 2], S[:, 1], atol=1e-15)
-        np.testing.assert_allclose(S_L[:, 3], S[:, 2], atol=1e-15)
-        np.testing.assert_allclose(S_L[:, 4], S[:, 2], atol=1e-15)
+        ch = sample_channel(rng, 3, (1, 2, 2), 16, 8)
+        d = build_design(rng, 16, 8, 8, 8, 4, (1, 2, 2))
+        S = d.S
+        _, _, S_L = ideal_factors(ch, d)
+        np.testing.assert_array_equal(S_L, S[:, [0, 1, 1, 2, 2]])
+        O = np.zeros((3, 5))
+        O[0, 0] = O[1, 1] = O[1, 2] = O[2, 3] = O[2, 4] = 1.0
+        np.testing.assert_array_equal(S_L, S @ O)
 
 
 class TestKrank:
@@ -205,7 +192,6 @@ class TestCheckUniqueness:
             P=random_unit_modulus(rng, 8, 8, 1 / 8),
             Q=random_unit_modulus(rng, 16, 8, 1 / 16),
             S=np.ones((1, 4), dtype=complex) / 1.0,
-            O=expansion_matrix((1, 1, 1, 1)),
         )
         rep = check_uniqueness(d, ch)
         assert rep.k_s == 1
@@ -240,16 +226,6 @@ class TestDesignInvariants:
         d = build_design(rng, 16, 8, 8, 8, 4, (1, 1, 2))
         np.testing.assert_allclose(np.abs(d.P), 1 / 8, atol=1e-15)
         np.testing.assert_allclose(np.abs(d.Q), 1 / 16, atol=1e-15)
-
-    def test_bad_expansion_rejected(self):
-        rng = np.random.default_rng(16)
-        with pytest.raises(ValueError):
-            TrainingDesign(
-                P=random_unit_modulus(rng, 8, 8, 1 / 8),
-                Q=random_unit_modulus(rng, 16, 8, 1 / 16),
-                S=pilot_matrix(rng, 4, 2),
-                O=np.array([[1.0, 1.0], [1.0, 0.0]]),  # column with two ones
-            )
 
     @settings(max_examples=20, deadline=None)
     @given(t=st.integers(2, 6), u=st.integers(2, 8))
