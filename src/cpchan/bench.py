@@ -86,6 +86,8 @@ class ExperimentConfig:
             if not _is_count(v):
                 raise ValueError(f"{key} must be a positive integer, got {v!r}")
             object.__setattr__(self, key, int(v))
+        if self.t < 2:
+            raise ValueError(f"t must be at least 2 for identifiability, got {self.t!r}")
         for key in ("grid_cpf", "grid_cs1", "grid_cs2"):
             v = getattr(self, key)
             if not (isinstance(v, (list, tuple)) and len(v) == 2
@@ -104,6 +106,9 @@ class ExperimentConfig:
                 kind = "finite numbers" if snr else "positive integers"
                 raise ValueError(f"sweep_values for {self.sweep_variable} must be "
                                  f"{kind}, got {v!r}")
+            if self.sweep_variable == "t" and v < 2:
+                raise ValueError(f"sweep_values for t must be at least 2 for "
+                                 f"identifiability, got {v!r}")
         if not self.methods:
             raise ValueError(f"methods must be nonempty, got {self.methods!r}")
         unknown = set(self.methods) - set(KNOWN_METHODS)

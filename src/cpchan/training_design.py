@@ -79,13 +79,25 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
 
 
+def _coherences(S: np.ndarray) -> np.ndarray:
+    """Mutual coherence of each t x u frame in a stack S of shape (R, t, u)."""
+    S = S / np.linalg.norm(S, axis=1, keepdims=True)
+    G = S.conj().transpose(0, 2, 1) @ S
+    idx = np.arange(S.shape[2])
+    G[:, idx, idx] = 0.0
+    return np.abs(G).max(axis=(1, 2))
+
+
 def mutual_coherence(S) -> float:
-    """Largest normalized inner product between distinct columns."""
+    """Largest normalized inner product between distinct columns.
+
+    Raises ValueError on a zero column, whose direction is undefined.
+    """
     S = np.asarray(S, dtype=np.complex128)
-    norms = np.linalg.norm(S, axis=0)
-    G = (S / norms).conj().T @ (S / norms)
-    np.fill_diagonal(G, 0.0)
-    return float(np.max(np.abs(G)))
+    zero = np.flatnonzero(np.linalg.norm(S, axis=0) == 0.0)
+    if zero.size:
+        raise ValueError(f"column {zero[0]} of the frame is zero; its coherence is undefined")
+    return float(_coherences(S[None])[0])
 
 
 def welch_bound(t: int, u: int) -> float:
@@ -100,25 +112,36 @@ def minimize_coherence(rng: np.random.Generator, t: int, u: int) -> np.ndarray:
 
     Projected gradient descent on the smooth coherence surrogate
     sum_{i != j} |<s_i, s_j>|^{2p}, annealing the power p so the surrogate
-    sharpens toward the max as iterations progress.  Best frame seen over
-    all restarts and iterations is kept.
+    sharpens toward the max as iterations progress.  The COHERENCE_RESTARTS
+    random starts are drawn one after another, then descend together as one
+    (R, t, u) stack; each start's step is scaled by its own gradient norm, so
+    every start follows the same iterates it would alone.  The frame of
+    lowest coherence over all starts and iterations is returned, the earliest
+    start and iteration winning ties.
     """
-    best, best_mu = None, np.inf
+    starts = []
     for _ in range(COHERENCE_RESTARTS):
         S = rng.standard_normal((t, u)) + 1j * rng.standard_normal((t, u))
         S /= np.linalg.norm(S, axis=0)
-        for it in range(COHERENCE_ITERS):
-            p = 4.0 + 28.0 * it / (COHERENCE_ITERS - 1)
-            G = S.conj().T @ S
-            W = np.abs(G) ** (2 * (p - 1))
-            np.fill_diagonal(W, 0.0)
-            grad = 2 * p * (S @ (W * G))      # Wirtinger gradient of the surrogate
-            S = S - 0.1 * grad / max(np.linalg.norm(grad), 1e-12)
-            S /= np.maximum(np.linalg.norm(S, axis=0), 1e-12)
-            mu_now = mutual_coherence(S)
-            if mu_now < best_mu:
-                best, best_mu = S.copy(), mu_now
-    return best
+        starts.append(S)
+    S = np.stack(starts)
+    best, best_mu = S.copy(), np.full(COHERENCE_RESTARTS, np.inf)
+    idx = np.arange(u)
+    for it in range(COHERENCE_ITERS):
+        p = 4.0 + 28.0 * it / (COHERENCE_ITERS - 1)
+        G = S.conj().transpose(0, 2, 1) @ S
+        W = np.abs(G) ** (2 * (p - 1))
+        W[:, idx, idx] = 0.0
+        grad = 2 * p * (S @ (W * G))          # Wirtinger gradient of the surrogate
+        # per-start Frobenius norm, summed as the unstacked norm sums it
+        scale = np.maximum([np.linalg.norm(g) for g in grad], 1e-12)
+        S = S - 0.1 * grad / scale[:, None, None]
+        S /= np.maximum(np.linalg.norm(S, axis=1, keepdims=True), 1e-12)
+        mu = _coherences(S)
+        better = mu < best_mu
+        best[better] = S[better]
+        best_mu[better] = mu[better]
+    return best[np.argmin(best_mu)]
 
 
 def pilot_matrix(rng: np.random.Generator, t: int, u: int) -> np.ndarray:

@@ -66,6 +66,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"{key}.*{re.escape(repr(value))}"):
             config_from_dict({**TINY, key: value})
 
+    def test_single_pilot_symbol_is_named(self):
+        # t = 1 cannot separate the users; it must fail at load, naming the
+        # key, not stop the sweep later inside the scene draw
+        with pytest.raises(ValueError, match=r"^t must be at least 2.*got 1$"):
+            config_from_dict({**TINY, "t": 1})
+        with pytest.raises(ValueError, match=r"sweep_values for t .*at least 2.*got 1$"):
+            config_from_dict({**TINY, "sweep_variable": "t", "sweep_values": [2, 1]})
+        cfg = config_from_dict({**TINY, "sweep_variable": "t", "sweep_values": [2, 3]})
+        assert cfg.sweep_values == (2, 3)
+
     def test_n_users_is_not_a_key(self):
         # the user count is read off paths_per_user, never stated twice
         assert ExperimentConfig(**TINY).n_users == 2

@@ -9,6 +9,8 @@ from itertools import combinations
 from cpchan.channel_sim import sample_channel
 from cpchan.measurement import ideal_factors
 from cpchan.training_design import (
+    COHERENCE_ITERS,
+    COHERENCE_RESTARTS,
     KRANK_EXHAUSTIVE_MAX,
     TrainingDesign,
     build_design,
@@ -71,6 +73,59 @@ class TestPilotMatrix:
     def test_coherence_bounds(self):
         S = minimize_coherence(np.random.default_rng(3), 3, 7)
         assert 0.0 <= mutual_coherence(S) <= 1.0
+
+
+def reference_minimize_coherence(rng, t, u):
+    """The restarts one after another, each step on a single t x u frame:
+    the loop the stacked minimize_coherence must reproduce bit for bit.
+    Returns the best frame and the coherence the loop tracked for it."""
+    def coherence(S):
+        norms = np.linalg.norm(S, axis=0)
+        G = (S / norms).conj().T @ (S / norms)
+        np.fill_diagonal(G, 0.0)
+        return float(np.max(np.abs(G)))
+
+    best, best_mu = None, np.inf
+    for _ in range(COHERENCE_RESTARTS):
+        S = rng.standard_normal((t, u)) + 1j * rng.standard_normal((t, u))
+        S /= np.linalg.norm(S, axis=0)
+        for it in range(COHERENCE_ITERS):
+            p = 4.0 + 28.0 * it / (COHERENCE_ITERS - 1)
+            G = S.conj().T @ S
+            W = np.abs(G) ** (2 * (p - 1))
+            np.fill_diagonal(W, 0.0)
+            grad = 2 * p * (S @ (W * G))
+            S = S - 0.1 * grad / max(np.linalg.norm(grad), 1e-12)
+            S /= np.maximum(np.linalg.norm(S, axis=0), 1e-12)
+            mu_now = coherence(S)
+            if mu_now < best_mu:
+                best, best_mu = S.copy(), mu_now
+    return best, best_mu
+
+
+class TestMinimizeCoherenceParity:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("t, u", [(2, 3), (2, 8), (3, 4), (4, 8), (5, 21), (6, 8), (7, 9)])
+    def test_stacked_restarts_match_sequential_loop(self, t, u, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        S = minimize_coherence(rng, t, u)
+        ref, ref_mu = reference_minimize_coherence(ref_rng, t, u)
+        np.testing.assert_array_equal(S, ref)
+        assert rng.random() == ref_rng.random()   # same draws consumed
+        assert mutual_coherence(S) == ref_mu
+
+
+class TestMutualCoherence:
+    def test_zero_column_is_named(self):
+        S = dft_matrix(4)
+        S[:, 2] = 0.0
+        with pytest.raises(ValueError, match=r"column 2\b"):
+            mutual_coherence(S)
+
+    def test_scale_invariant(self):
+        S = pilot_matrix(np.random.default_rng(5), 3, 6)
+        assert mutual_coherence(S * np.array([1, 2, 3, 0.5, 7, 1e-3])) == pytest.approx(
+            mutual_coherence(S), abs=1e-14)
 
 
 class TestExpansionMatrix:
