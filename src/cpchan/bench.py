@@ -15,8 +15,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import multiprocessing
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -37,6 +40,11 @@ CSV_HEADER = [
 ]
 
 KNOWN_METHODS = ("cpf_known_L", "cpf_regularized", "cs_grid1", "cs_grid2")
+
+# thread-count variables of the BLAS and OpenMP builds numpy may load; the
+# workers of a parallel sweep start with each set to 1
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def _is_finite_real(v) -> bool:
@@ -272,6 +280,30 @@ def _run_trial_star(args):
     return run_trial(*args)
 
 
+@contextmanager
+def worker_pool(threads: int):
+    """Process pool of ``threads`` workers, each running BLAS on one thread.
+
+    N workers each running a multithreaded BLAS would oversubscribe the
+    cores.  BLAS reads its thread count when numpy loads, so the workers are
+    spawned (a forked worker inherits the parent's loaded BLAS) with the
+    BLAS_THREAD_VARS pinned to 1 in their environment; the parent's
+    environment is restored on exit.
+    """
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=threads,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def run_sweep(
     cfg: ExperimentConfig,
     out_path=None,
@@ -282,7 +314,7 @@ def run_sweep(
     points = point_indices(cfg)
     jobs = [(cfg, p, t) for p in points for t in range(cfg.trials)]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with worker_pool(threads) as pool:
             per_trial = list(pool.map(_run_trial_star, jobs))
     else:
         per_trial = [run_trial(*j) for j in jobs]

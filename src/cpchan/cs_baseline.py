@@ -57,9 +57,9 @@ class PilotKronOperator:
         self.shape = (design.t * self.grid_op.m_bs * self.grid_op.t_prime,
                       self.grid_op.shape[1])
 
-    def matvec(self, d):
+    def matvec(self, d, support=None):
         # vec(M S^T) is the row-major (t, m_bs t') array S M^T
-        Mt = self.grid_op.matvec(d).reshape(self.n_users, -1)
+        Mt = self.grid_op.matvec(d, support).reshape(self.n_users, -1)
         return (self.S @ Mt).ravel()
 
     def rmatvec(self, y):

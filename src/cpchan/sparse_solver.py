@@ -17,13 +17,19 @@ soft threshold, the iterate and momentum updates and the l1 term run on the
 old and new supports only.  The iterates stay bit-identical to the plain
 dense loop.
 
-``A`` may be a dense ndarray or any object exposing ``shape``, ``matvec`` and
-``rmatvec``.  The one AoA/AoD grid dictionary operator, ``StackedGridOperator``,
-lives here too: it applies the dictionary matrix-free through its Kronecker
-factors, batched over users, so the big dictionaries are never materialized.
-The CPF refinement solves on it directly; the CS baseline mixes it with the
-pilots (``cs_baseline.PilotKronOperator``).  Every grid dictionary operator
-has unit-norm columns, so one l1 weight treats all atoms alike; a coefficient
+``A`` may be a dense ndarray or any object exposing ``shape``,
+``matvec(x, support=None)`` and ``rmatvec(y)``.  ``support`` is a hint: sorted
+indices outside which ``x`` is zero.  ``fista`` passes it in its
+support-tracking phase only (the power iteration and the dense phase pass
+none); an operator may use it to run the product over those columns alone,
+or ignore it, as ``MatrixOperator`` does.  The one AoA/AoD grid dictionary
+operator, ``StackedGridOperator``, lives here too: it applies the dictionary
+matrix-free through its Kronecker factors, batched over users, so the big
+dictionaries are never materialized, and it uses the hint once the support
+holds at most 1/SUPPORT_SHARE of the coefficients.  The CPF refinement
+solves on it directly; the CS baseline mixes it with the pilots
+(``cs_baseline.PilotKronOperator``).  Every grid dictionary operator has
+unit-norm columns, so one l1 weight treats all atoms alike; a coefficient
 divided by its ``atom_norms()`` entry (the physical atom's norm) is the gain.
 """
 
@@ -45,7 +51,7 @@ class MatrixOperator:
         self.M = np.asarray(M, dtype=np.complex128)
         self.shape = self.M.shape
 
-    def matvec(self, x):
+    def matvec(self, x, support=None):
         return self.M @ x
 
     def rmatvec(self, y):
@@ -142,14 +148,18 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
     the iterate and momentum updates and the l1 term are computed on the old
     and new supports only; above that the loop stays dense.  Either way the
     per-entry arithmetic is that of the plain allocating loop, so the
-    iterates and the objective trace are the same bit for bit.
+    iterates and the objective trace are the same bit for bit.  In the
+    support-tracking step the forward product gets the candidates as its
+    ``support`` hint (the iterate is zero outside them), so an operator that
+    uses the hint multiplies by those columns only; the allocating loop that
+    passes the same hint gives the same bits.
 
-    Memory: the iterate (a dense, zero-padded vector, so ``matvec`` is
-    unchanged) and the momentum point share one block allocated once per
-    call; the magnitudes and the mask are one buffer each.  The gradient-step
-    vector lives only until the threshold: the support-tracking step keeps
-    at most n / SPARSE_SHARE candidates of it and the dense step copies it
-    into the iterate, and both free it before ``matvec``.
+    Memory: the iterate (a dense, zero-padded vector) and the momentum point
+    share one block allocated once per call; the magnitudes and the mask are
+    one buffer each.  The gradient-step vector lives only until the
+    threshold: the support-tracking step keeps at most n / SPARSE_SHARE
+    candidates of it and the dense step copies it into the iterate, and both
+    free it before ``matvec``.
     """
     op = as_operator(A)
     y = np.asarray(y, dtype=np.complex128).ravel()
@@ -229,7 +239,7 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
             np.add(x_moved, dx, out=dx)
             z[moved] = dx
             x_sup, z_sup = cand, moved
-            ax_new = op.matvec(x)
+            ax_new = op.matvec(x, support=cand)
             # the l1 term sums a dense zero-padded |x|, as the dense loop
             # does, so the pairwise summation order is the same
             mag.fill(0.0)
@@ -295,6 +305,13 @@ def grid_responses(design, grid: AngleGrid):
     return G_Q, G_P
 
 
+# matvec runs over the support's columns once it holds at most
+# 1/SUPPORT_SHARE of the coefficients: a support entry costs m_bs * t' complex
+# multiply-adds, the dense GEMMs about m_bs per coefficient at a higher rate,
+# and the measured crossovers sit near 1/44 (256x128 grid) and 1/55 (128x64)
+SUPPORT_SHARE = 64
+
+
 class StackedGridOperator:
     """Matrix-free grid dictionary Phi = (P^T kron Q^T) Sigma-bar with unit-norm
     columns, stacked block-diagonally over ``n_rhs`` right-hand sides (one per
@@ -321,27 +338,44 @@ class StackedGridOperator:
         self.shape = (self.m_bs * self.t_prime * n_rhs, grid.size * n_rhs)
         self._G_Qc = self.G_Q.conj()
         self._G_Pc = self.G_P.conj()
-        X = np.empty((grid.n_aoa, grid.n_aod, n_rhs), dtype=np.complex128)
-        Y = np.empty((self.m_bs, self.t_prime, n_rhs), dtype=np.complex128)
-        self._fwd_path = np.einsum_path(
-            "ma,adu,td->utm", self.G_Q, X, self.G_P, optimize="optimal")[0]
-        self._adj_path = np.einsum_path(
-            "ma,mtu,td->uda", self._G_Qc, Y, self._G_Pc, optimize="optimal")[0]
 
-    def matvec(self, x):
+    # The coefficient vector, row-major, is (n_rhs, n_aod, n_aoa) and the
+    # output vector, row-major, is (n_rhs, t', m_bs), the per-block vec of
+    # G_Q X G_P^T; both products are two GEMMs on these views, no copies.
+
+    def matvec(self, x, support=None):
+        """Phi x.  ``support``, if given, holds strictly increasing indices
+        outside which x is zero; when few enough, the product runs over
+        those columns only."""
+        n = self.shape[1]
+        if support is not None:
+            if support.size and (support[0] < 0 or support[-1] >= n
+                                 or np.any(support[1:] <= support[:-1])):
+                raise ValueError("support must be strictly increasing indices in [0, n)")
+            if support.size * SUPPORT_SHARE <= n:
+                return self._support_matvec(x, support)
         g = self.grid
-        X = x.reshape(g.n_aoa, g.n_aod, self.n_rhs, order="F")
-        # output written as (U, t', m) C-order == (m, t', U) F-order, so the
-        # C-ravel below is the stacked per-block vec without a transpose copy
-        out = np.einsum(
-            "ma,adu,td->utm", self.G_Q, X, self.G_P, optimize=self._fwd_path)
+        T = x.reshape(self.n_rhs * g.n_aod, g.n_aoa) @ self.G_Q.T
+        return (self.G_P @ T.reshape(self.n_rhs, g.n_aod, self.m_bs)).ravel()
+
+    def _support_matvec(self, x, support):
+        # block u's output is sum over its entries k of
+        # x_k G_P[:, aod_k] kron G_Q[:, aoa_k], i.e. G_P[:, aod] (G_Q[:, aoa] x)^T
+        g = self.grid
+        out = np.zeros((self.n_rhs, self.t_prime, self.m_bs), dtype=np.complex128)
+        bounds = np.searchsorted(support, np.arange(self.n_rhs + 1) * g.size)
+        aod, aoa = np.divmod(support % g.size, g.n_aoa)
+        cols_p = self.G_P[:, aod]
+        cols_q = (self.G_Q[:, aoa] * x[support]).T
+        for u in range(self.n_rhs):
+            lo, hi = bounds[u], bounds[u + 1]
+            if lo < hi:
+                np.matmul(cols_p[:, lo:hi], cols_q[lo:hi], out=out[u])
         return out.ravel()
 
     def rmatvec(self, y):
-        Y = y.reshape(self.m_bs, self.t_prime, self.n_rhs, order="F")
-        X = np.einsum(
-            "ma,mtu,td->uda", self._G_Qc, Y, self._G_Pc, optimize=self._adj_path)
-        return X.ravel()
+        W = self._G_Pc.T @ y.reshape(self.n_rhs, self.t_prime, self.m_bs)
+        return (W.reshape(-1, self.m_bs) @ self._G_Qc).ravel()
 
     def atom_norms(self) -> np.ndarray:
         """Per-column norms of the physical atoms kron(P^T a_ms, Q^T a_bs)."""

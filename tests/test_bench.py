@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import os
 import re
 from pathlib import Path
 
@@ -262,6 +263,17 @@ class TestRunSweep:
         serial = run_sweep(cfg)
         parallel = run_sweep(cfg, threads=2)
         assert [r.nmse for r in serial] == [r.nmse for r in parallel]
+
+    def test_pool_workers_start_with_blas_pinned(self, monkeypatch):
+        # the workers load numpy afresh with every BLAS thread variable at 1;
+        # the parent's environment comes back as it was
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        with bench.worker_pool(2) as pool:
+            seen = list(pool.map(os.getenv, bench.BLAS_THREAD_VARS))
+        assert seen == ["1"] * len(bench.BLAS_THREAD_VARS)
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+        assert "MKL_NUM_THREADS" not in os.environ
 
 
 class TestTrendHelper:

@@ -72,7 +72,7 @@ class ScaledColumnsOperator:
         self.scales = scales
         self.shape = op.shape
 
-    def matvec(self, x):
+    def matvec(self, x, support=None):
         return self.op.matvec(x * self.scales)
 
     def rmatvec(self, y):
@@ -163,6 +163,23 @@ class TestPilotKronOperator:
             np.testing.assert_allclose(op.matvec(e), dense[:, k], atol=1e-12)
             np.testing.assert_allclose(op.column(*divmod(k, grid.size)), dense[:, k],
                                        atol=1e-12)
+
+    def test_support_product_matches_dense(self):
+        # the support hint passes through the pilot mixing to the grid
+        # operator; 3 users on 2 pilot slots
+        design = build_design(np.random.default_rng(13), 16, 8, 6, 5, 2, (1, 1, 1))
+        op = PilotKronOperator(design, AngleGrid(32, 16))
+        size = op.grid_op.grid.size
+        rng = np.random.default_rng(14)
+        # a single entry, an empty middle user, entries in every user
+        for support in ([700], [0, 9, 2 * size + 5], [3, size + 100, 2 * size + 511]):
+            support = np.array(support)
+            d = np.zeros(op.shape[1], dtype=np.complex128)
+            d[support] = rng.standard_normal(support.size) + 1j * rng.standard_normal(
+                support.size)
+            dense = op.matvec(d)
+            got = op.matvec(d, support=support)
+            assert np.linalg.norm(got - dense) <= 1e-13 * np.linalg.norm(dense)
 
     def test_adjoint(self):
         rng = np.random.default_rng(5)

@@ -9,6 +9,7 @@ from cpchan.channel_sim import sample_channel
 from cpchan.cs_baseline import PilotKronOperator
 from cpchan.sparse_solver import (
     SPARSE_SHARE,
+    SUPPORT_SHARE,
     AngleGrid,
     FistaConfig,
     MatrixOperator,
@@ -32,6 +33,45 @@ def small_design(seed=0, n_bs=16, n_ms=8, m_bs=6, t_prime=5, t=4):
 
 def lasso_objective(A, y, x, lam):
     return np.linalg.norm(y - A @ x) ** 2 + lam * np.sum(np.abs(x))
+
+
+def table1_design():
+    rng = np.random.default_rng(0)
+    return build_design(rng, 64, 32, 16, 16, 4, [1, 1, 1, 2, 2, 2, 2, 2])
+
+
+def einsum_products(op, x, y):
+    """The grid operator's forward and adjoint products as one einsum each
+    over the normalized factors, contracted in the order einsum_path picks."""
+    g = op.grid
+    X = x.reshape(g.n_aoa, g.n_aod, op.n_rhs, order="F")
+    Y = y.reshape(op.m_bs, op.t_prime, op.n_rhs, order="F")
+    G_Qc, G_Pc = op.G_Q.conj(), op.G_P.conj()
+    fwd_path = np.einsum_path("ma,adu,td->utm", op.G_Q, X, op.G_P, optimize="optimal")[0]
+    adj_path = np.einsum_path("ma,mtu,td->uda", G_Qc, Y, G_Pc, optimize="optimal")[0]
+    fwd = np.einsum("ma,adu,td->utm", op.G_Q, X, op.G_P, optimize=fwd_path)
+    adj = np.einsum("ma,mtu,td->uda", G_Qc, Y, G_Pc, optimize=adj_path)
+    return fwd.ravel(), adj.ravel()
+
+
+@pytest.fixture
+def support_products(monkeypatch):
+    """Support sizes of the products StackedGridOperator runs over a support."""
+    sizes = []
+    run = StackedGridOperator._support_matvec
+
+    def spy(self, x, support):
+        sizes.append(support.size)
+        return run(self, x, support)
+
+    monkeypatch.setattr(StackedGridOperator, "_support_matvec", spy)
+    return sizes
+
+
+def on_support(rng, n, support):
+    x = np.zeros(n, dtype=np.complex128)
+    x[support] = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
+    return x
 
 
 class TestSoftThreshold:
@@ -134,6 +174,16 @@ class TestOperators:
         assert G_Q.shape == (design.m_bs, 14)
         assert G_P.shape == (design.t_prime, 11)
 
+    @pytest.mark.parametrize("grid_dims", [(256, 128), (128, 64)])
+    def test_gemm_products_equal_einsum_on_table1_grids(self, grid_dims):
+        op = StackedGridOperator(table1_design(), AngleGrid(*grid_dims), 8)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
+        y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+        fwd, adj = einsum_products(op, x, y)
+        assert np.array_equal(op.matvec(x), fwd)
+        assert np.array_equal(op.rmatvec(y), adj)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             AngleGrid(0, 4)
@@ -141,11 +191,61 @@ class TestOperators:
         assert g.cell(8 + 3) == (1, 3)  # column i*n_aoa + j -> (aod i, aoa j)
 
 
+class TestSupportProduct:
+    """matvec(x, support=s) with x zero outside s, against the dense product."""
+
+    @pytest.mark.parametrize("n_rhs", [1, 3])
+    def test_matches_dense_product(self, n_rhs, support_products):
+        op = StackedGridOperator(small_design(seed=40, m_bs=8, t_prime=8), AngleGrid(32, 16),
+                                 n_rhs)
+        n, size = op.shape[1], op.grid.size
+        rng = np.random.default_rng(41)
+        supports = [
+            np.array([0]), np.array([n - 1]),
+            np.sort(rng.choice(n, n // SUPPORT_SHARE, replace=False)),
+            # the first block's first and last columns only
+            np.array([0, 1, size - 1])]
+        if n_rhs > 1:
+            # the middle block has no entries
+            supports.append(np.array([3, 40, 2 * size, 2 * size + 77]))
+        for support in supports:
+            x = on_support(rng, n, support)
+            dense = op.matvec(x)
+            got = op.matvec(x, support=support)
+            assert np.linalg.norm(got - dense) <= 1e-13 * np.linalg.norm(dense)
+        assert support_products == [s.size for s in supports]
+
+    def test_empty_support_gives_zeros(self, support_products):
+        op = StackedGridOperator(small_design(seed=42), AngleGrid(12, 10), 2)
+        out = op.matvec(np.zeros(op.shape[1], dtype=np.complex128),
+                        support=np.empty(0, dtype=np.intp))
+        assert out.shape == (op.shape[0],) and not np.any(out)
+        assert support_products == [0]
+
+    def test_above_crossover_is_the_dense_product(self, support_products):
+        op = StackedGridOperator(small_design(seed=43), AngleGrid(16, 8), 2)
+        n = op.shape[1]
+        rng = np.random.default_rng(44)
+        support = np.sort(rng.choice(n, n // SUPPORT_SHARE + 1, replace=False))
+        x = on_support(rng, n, support)
+        assert np.array_equal(op.matvec(x, support=support), op.matvec(x))
+        assert support_products == []
+
+    @pytest.mark.parametrize("support", [[9, 4, 1], [2, 2, 5], [-1, 3], [0, 5, 320]])
+    def test_bad_support_raises(self, support):
+        # a reversed or repeated support would give a silently wrong product
+        op = StackedGridOperator(small_design(seed=45), AngleGrid(16, 10), 2)
+        with pytest.raises(ValueError, match="support"):
+            op.matvec(np.zeros(op.shape[1], dtype=np.complex128), support=np.array(support))
+
+
 def allocating_fista(A, y, cfg):
     """Reference FISTA loop that allocates every temporary afresh; the
-    buffered solver must reproduce it bit for bit.  Also returns, per
-    iteration, the number of candidates: gradient-step entries the soft
-    threshold does not zero by the |v| <= lam * step test."""
+    buffered solver must reproduce it bit for bit.  Like the solver, it gives
+    the forward product the iterate's support as a hint when the candidates
+    are few enough for support tracking.  Also returns, per iteration, the
+    number of candidates: gradient-step entries the soft threshold does not
+    zero by the |v| <= lam * step test."""
     op = as_operator(A)
     y = np.asarray(y, dtype=np.complex128).ravel()
     step = cfg.step if cfg.step is not None else 1.0 / (2.0 * top_singular_value(op) ** 2)
@@ -167,7 +267,10 @@ def allocating_fista(A, y, cfg):
         v = z - step * grad
         candidates.append(int(np.count_nonzero(~(np.abs(v) <= cfg.lam * step))))
         x_new = soft(v, cfg.lam * step)
-        ax_new = op.matvec(x_new)
+        if candidates[-1] * SPARSE_SHARE <= op.shape[1]:
+            ax_new = op.matvec(x_new, support=np.flatnonzero(x_new))
+        else:
+            ax_new = op.matvec(x_new)
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2)) / 2.0
         beta = (t_momentum - 1.0) / t_new
         z = x_new + beta * (x_new - x)
@@ -206,17 +309,19 @@ class TestFista:
                 (stacked, y_stacked, FistaConfig(lam=0.05, max_iters=150, tol=1e-7))):
             assert_matches_reference(op, y, cfg)
 
-    def test_support_tracking_matches_reference_bitwise(self):
+    def test_support_tracking_matches_reference_bitwise(self, support_products):
         # a sparse scene on a stacked grid: the first iterations keep too many
-        # candidates, the later ones few enough to track supports
+        # candidates, the later ones few enough to track supports, and some
+        # few enough for the forward product over the support
         rng = np.random.default_rng(32)
-        op = StackedGridOperator(small_design(seed=33, m_bs=8, t_prime=8), AngleGrid(32, 16), 2)
+        op = StackedGridOperator(small_design(seed=33, m_bs=8, t_prime=8), AngleGrid(64, 32), 2)
         x0 = np.zeros(op.shape[1], dtype=np.complex128)
-        x0[[7, 300, 612, 900]] = [1.0, -0.8j, 0.6 + 0.6j, 1.2]
+        x0[[7, 1300, 2660, 3600]] = [1.0, -0.8j, 0.6 + 0.6j, 1.2]
         y = op.matvec(x0) + 0.01 * (rng.standard_normal(op.shape[0])
                                     + 1j * rng.standard_normal(op.shape[0]))
         sparse = assert_matches_reference(op, y, FistaConfig(lam=0.05, max_iters=300, tol=1e-9))
         assert not sparse[0] and sparse.any()
+        assert support_products, "no iteration ran the support product"
 
     def test_regime_switching_both_ways_matches_reference_bitwise(self):
         # candidates hover around n / SPARSE_SHARE, so the loop leaves the
@@ -230,16 +335,17 @@ class TestFista:
         to_dense, to_sparse = np.flatnonzero(switches == -1), np.flatnonzero(switches == 1)
         assert to_dense.size and to_sparse.size and to_sparse.max() > to_dense.min()
 
-    def test_pilot_kron_problem_matches_reference_bitwise(self):
+    def test_pilot_kron_problem_matches_reference_bitwise(self, support_products):
         rng = np.random.default_rng(34)
         design = build_design(rng, 16, 8, 6, 5, 3, (1, 1, 1))
-        op = PilotKronOperator(design, AngleGrid(16, 8))
+        op = PilotKronOperator(design, AngleGrid(32, 16))
         d0 = np.zeros(op.shape[1], dtype=np.complex128)
-        d0[[5, 130, 300]] = [1.0, 0.7j, -0.9]
+        d0[[5, 700, 1100]] = [1.0, 0.7j, -0.9]
         y = op.matvec(d0) + 0.02 * (rng.standard_normal(op.shape[0])
                                     + 1j * rng.standard_normal(op.shape[0]))
         sparse = assert_matches_reference(op, y, FistaConfig(lam=0.1, max_iters=400, tol=1e-9))
         assert sparse.any()
+        assert support_products, "no iteration ran the support product"
 
     def test_noiseless_tiny_lambda_stays_dense_and_matches_reference(self):
         rng = np.random.default_rng(35)
