@@ -11,10 +11,13 @@ import argparse
 import numpy as np
 
 from cpchan import channel_recovery, cs_baseline
+from cpchan.bench import CS_OVERSAMPLING
 from cpchan.channel_sim import sample_channel
 from cpchan.measurement import simulate
 from cpchan.sparse_solver import AngleGrid
 from cpchan.training_design import build_design, check_uniqueness
+
+N_BS, N_MS = 64, 32
 
 
 def main() -> None:
@@ -28,27 +31,26 @@ def main() -> None:
     ss = np.random.SeedSequence(args.seed).spawn(3)
     rng_channel, rng_design, rng_noise = (np.random.default_rng(s) for s in ss)
 
-    channel = sample_channel(rng_channel, args.users, paths, n_bs=64, n_ms=32)
-    design = build_design(rng_design, n_bs=64, n_ms=32, m_bs=16,
+    channel = sample_channel(rng_channel, args.users, paths, n_bs=N_BS, n_ms=N_MS)
+    design = build_design(rng_design, n_bs=N_BS, n_ms=N_MS, m_bs=16,
                           t_prime=16, t=4, paths_per_user=paths)
     print(check_uniqueness(design, channel).summary())
 
     meas = simulate(channel, design, args.snr_db, rng_noise)
 
-    from cpchan.cp_als import AlsConfig
-
     # the rank is estimated within the default 26-component budget
-    cfg = channel_recovery.PipelineConfig(als=AlsConfig(max_iters=1000))
-    res = channel_recovery.estimate_all(meas, design, cfg, channel)
+    res = channel_recovery.estimate_all(meas, design, channel_truth=channel)
     print(f"\ntensor factorization pipeline  "
           f"nmse={res.nmse_total:.3e}  rank={res.estimated_rank}  "
           f"runtime={res.runtime_s:.2f}s")
     for u, v in enumerate(res.nmse_per_user):
         print(f"  user {u}: nmse={v:.3e}")
 
-    prob = cs_baseline.assemble_problem(meas, design, AngleGrid(128, 64))
+    k = CS_OVERSAMPLING["cs_grid2"]   # the arrays oversampled 2x, as cs_grid2 runs
+    grid = AngleGrid(k * N_BS, k * N_MS)
+    prob = cs_baseline.assemble_problem(meas, design, grid)
     cs = cs_baseline.solve_cs(prob, channel_truth=channel)
-    print(f"\ncompressed-sensing baseline (128x64 grid)  "
+    print(f"\ncompressed-sensing baseline ({grid.n_aoa}x{grid.n_aod} grid)  "
           f"nmse={cs.nmse_total:.3e}  runtime={cs.runtime_s:.2f}s")
 
 

@@ -46,6 +46,11 @@ KNOWN_METHODS = ("cpf_known_L", "cpf_regularized", "cs_grid1", "cs_grid2")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
+# every angle grid is the arrays (n_bs AoAs x n_ms AoDs) oversampled by a
+# fixed factor per method
+CPF_OVERSAMPLING = 4
+CS_OVERSAMPLING = {"cs_grid1": 1, "cs_grid2": 2}
+
 
 def _is_finite_real(v) -> bool:
     """A finite real number; bools and strings are not numbers here."""
@@ -70,10 +75,6 @@ class ExperimentConfig:
     methods: tuple[str, ...] = ("cpf_regularized", "cs_grid1", "cs_grid2")
     trials: int = 50
     seed: int = 0
-    grid_cpf: tuple[int, int] = (256, 128)
-    grid_cs1: tuple[int, int] = (64, 32)
-    grid_cs2: tuple[int, int] = (128, 64)
-    als_max_iters: int = 1000
     # the joint CS solve keeps the plain universal threshold, which is what
     # gives the baseline its best accuracy
     lambda_scale_cs: float = 1.0
@@ -89,19 +90,13 @@ class ExperimentConfig:
             raise ValueError(f"paths_per_user must be a nonempty list of positive "
                              f"integers, got {v!r}")
         object.__setattr__(self, "paths_per_user", tuple(int(n) for n in v))
-        for key in ("n_bs", "n_ms", "m_bs", "t_prime", "t", "trials", "als_max_iters"):
+        for key in ("n_bs", "n_ms", "m_bs", "t_prime", "t", "trials"):
             v = getattr(self, key)
             if not _is_count(v):
                 raise ValueError(f"{key} must be a positive integer, got {v!r}")
             object.__setattr__(self, key, int(v))
         if self.t < 2:
             raise ValueError(f"t must be at least 2 for identifiability, got {self.t!r}")
-        for key in ("grid_cpf", "grid_cs1", "grid_cs2"):
-            v = getattr(self, key)
-            if not (isinstance(v, (list, tuple)) and len(v) == 2
-                    and all(_is_count(n) for n in v)):
-                raise ValueError(f"{key} must be a pair of positive integers, got {v!r}")
-            object.__setattr__(self, key, tuple(int(n) for n in v))
         if self.snr_db is not None and not _is_finite_real(self.snr_db):
             raise ValueError(f"snr_db must be null or a finite number, got {self.snr_db!r}")
         if self.sweep_variable is not None and not self.sweep_values:
@@ -130,6 +125,16 @@ class ExperimentConfig:
     @property
     def total_paths(self) -> int:
         return sum(self.paths_per_user)
+
+    @property
+    def grid_cs1(self) -> tuple[int, int]:
+        k = CS_OVERSAMPLING["cs_grid1"]
+        return (k * self.n_bs, k * self.n_ms)
+
+    @property
+    def grid_cs2(self) -> tuple[int, int]:
+        k = CS_OVERSAMPLING["cs_grid2"]
+        return (k * self.n_bs, k * self.n_ms)
 
     def at_point(self, value) -> "ExperimentConfig":
         """Config with the sweep variable pinned to one value."""
@@ -190,8 +195,8 @@ def _trial_seed(root: int, point_idx: int, trial: int) -> np.random.SeedSequence
 
 def _pipeline_config(cfg: ExperimentConfig, known_rank: int | None, als_seed: int):
     return channel_recovery.PipelineConfig(
-        grid=AngleGrid(*cfg.grid_cpf),
-        als=AlsConfig(max_iters=cfg.als_max_iters, seed=als_seed),
+        grid=AngleGrid(CPF_OVERSAMPLING * cfg.n_bs, CPF_OVERSAMPLING * cfg.n_ms),
+        als=AlsConfig(seed=als_seed),
         known_rank=known_rank,
     )
 

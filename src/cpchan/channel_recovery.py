@@ -4,11 +4,11 @@ Pipeline stages:
 
 1.  Decompose the measurement tensor (regularized ALS, or fixed-rank ALS when
     the total path count is known).
-2.  Resolve the CP permutation/scaling ambiguity by correlating each column
-    of the estimated pilot-mode factor against the known pilot matrix; the
-    best-matching user gets the component, and the complex scale lambda makes
-    s_hat ~= lambda * s_user.
-3.  Per user, rebuild the compressed channel  A_Q_u * diag(lambda_u) * A_P_u^T
+2.  Resolve the CP permutation ambiguity by correlating each column of the
+    estimated pilot-mode factor against the known pilot matrix; the
+    best-matching user gets the component, and re-fitting the spatial
+    factors with those pilots held fixed settles the scaling ambiguity.
+3.  Per user, rebuild the compressed channel  A_Q_u * A_P_u^T
     (= Q^T H_u P in the exact case), vectorize it and recover its support on
     an AoA/AoD grid.  With noise that is a small l1 problem followed by a
     least-squares refit on the recovered support, which removes the shrinkage
@@ -34,7 +34,7 @@ from .sparse_solver import (
     top_singular_value,
     universal_lambda,
 )
-from .tensor_core import ComplexTensor3, FactorTriple, khatri_rao, unfold
+from .tensor_core import ComplexTensor3, khatri_rao, unfold
 from .training_design import TrainingDesign, krank
 
 SUPPORT_THRESHOLD = 0.05  # keep grid coefficients above 5% of the peak magnitude
@@ -50,7 +50,6 @@ SNAP_SWEEPS = 3           # pilot-constrained polish sweeps after assignment
 @dataclass(frozen=True)
 class AmbiguityResolution:
     assignment: np.ndarray        # component -> user index
-    lambda3: np.ndarray           # per-component complex scale
     paths_per_user: np.ndarray    # histogram of the assignment
     match_scores: np.ndarray      # normalized correlation magnitudes in [0, 1]
     empty_users: tuple[int, ...] = ()  # users that received no component
@@ -84,17 +83,14 @@ def resolve_ambiguity(S_hat: np.ndarray, S: np.ndarray) -> AmbiguityResolution:
     corr = np.abs(inner) / (s_norms[:, None] * hat_norms[None, :])
     assignment = np.argmax(corr, axis=0)  # argmax breaks ties by lower index
     scores = corr[assignment, np.arange(S_hat.shape[1])]
-    # scale so that s_hat_l ~= lambda * s_u
-    lam = inner[assignment, np.arange(S_hat.shape[1])] / (s_norms[assignment] ** 2)
     hist = np.bincount(assignment, minlength=u_count)
     empty = tuple(int(u) for u in np.flatnonzero(hist == 0))
-    return AmbiguityResolution(assignment, lam, hist, scores, empty)
+    return AmbiguityResolution(assignment, hist, scores, empty)
 
 
 def pilot_constrained_polish(
     Y: ComplexTensor3,
     C: np.ndarray,
-    A: np.ndarray,
     B: np.ndarray,
     sweeps: int = 3,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -105,7 +101,7 @@ def pilot_constrained_polish(
     the spatial factors.  A few alternating least-squares sweeps against the
     fixed pilot columns strip the estimation noise that the unconstrained
     decomposition left in the pilot mode, which otherwise leaks into every
-    per-user channel.  The per-component scale must already be folded into A.
+    per-user channel.  Each sweep solves for A first, so only B needs a start.
     """
     Y1t = unfold(Y, 1).T
     Y2t = unfold(Y, 2).T
@@ -236,7 +232,7 @@ def refine_channels(
 ) -> tuple[list[np.ndarray], bool]:
     """Sparse AoA/AoD recovery of every user's channel from its compressed image.
 
-    Column u of ``Z`` is vec(A_Q_u diag(lambda_u) A_P_u^T) for user u.  With
+    Column u of ``Z`` is vec(A_Q_u A_P_u^T) for user u.  With
     noise, one batched l1 solve (FISTA) and a debias refit per user recover
     the grid supports; noiseless images go straight to orthogonal matching
     pursuit.  Returns the per-user channel matrices and whether the l1 solve
@@ -280,7 +276,7 @@ def estimate_all(
     t0 = time.perf_counter()
 
     # decompose on a unit-Frobenius-norm copy so the regularization weight is
-    # scale-free, then push the scale back through the pilot-mode factor
+    # scale-free; the pilot-constrained polish re-fits the scales on Y itself
     Y = measurement.y
     scale = np.linalg.norm(Y.data)
     if scale == 0.0:
@@ -290,16 +286,12 @@ def estimate_all(
         res = cp_als.als_known_rank(Yn, cfg.known_rank, cfg.als)
     else:
         res = cp_als.als_regularized(Yn, cfg.als)
-    F = res.factors
-    F = FactorTriple(F.A, F.B, F.C * scale)
-
-    resolution = resolve_ambiguity(F.C, design.S)
+    resolution = resolve_ambiguity(res.factors.C, design.S)
 
     # with the assignment fixed, the pilot-mode columns are known exactly;
     # polishing the spatial factors against them removes pilot-mode noise
     A_snap, B_snap = pilot_constrained_polish(
-        Y, design.S[:, resolution.assignment], F.A * resolution.lambda3[None, :], F.B,
-        SNAP_SWEEPS)
+        Y, design.S[:, resolution.assignment], res.factors.B, SNAP_SWEEPS)
 
     assigned = [resolution.assignment == u for u in range(design.n_users)]
     Z = np.stack(

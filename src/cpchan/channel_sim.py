@@ -123,7 +123,6 @@ def sample_channel(
 
 def sample_channel_on_grid(
     rng: np.random.Generator,
-    n_users: int,
     paths_per_user,
     n_bs: int,
     n_ms: int,

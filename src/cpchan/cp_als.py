@@ -48,7 +48,7 @@ PRUNE_THRESHOLD = 1e-2     # drop components below this share of the largest ene
 
 @dataclass(frozen=True)
 class AlsConfig:
-    max_iters: int = 500
+    max_iters: int = 1000
     tol: float = 1e-6          # relative change of stacked factors
     k_upper: int = 26          # regularized solver's component budget, ~2x table1's 13 paths
     seed: int = 0

@@ -63,9 +63,8 @@ def simulate(
     design: TrainingDesign,
     snr_db: float | None,
     rng: np.random.Generator | None = None,
-    seed: int | None = None,
 ) -> MeasurementTensor:
-    """Noiseless tensor plus (optionally) noise at an exact realized SNR."""
+    """Noiseless tensor plus (optionally) noise from ``rng`` at an exact realized SNR."""
     X = noiseless_tensor(channel, design)
     if snr_db is None:
         return MeasurementTensor(X, None)
@@ -73,7 +72,7 @@ def simulate(
     if sig == 0.0:
         raise ValueError("cannot set a finite SNR on an all-zero signal")
     if rng is None:
-        rng = np.random.default_rng(seed)
+        raise ValueError("a finite SNR needs a noise generator (rng)")
     W = rng.standard_normal(X.dims) + 1j * rng.standard_normal(X.dims)
     W *= sig / (np.linalg.norm(W) * 10 ** (snr_db / 20))
     return MeasurementTensor(ComplexTensor3(X.data + W), float(snr_db))

@@ -87,7 +87,7 @@ def test_noiseless_exact_recovery_rate():
     for trial in range(100):
         rng = np.random.default_rng(10_000 + trial)
         channel = sample_channel_on_grid(
-            rng, 4, (1, 1, 1, 1), 16, 8, grid.sin_aoa, grid.sin_aod)
+            rng, (1, 1, 1, 1), 16, 8, grid.sin_aoa, grid.sin_aod)
         design = build_design(rng, 16, 8, 8, 8, 2, (1, 1, 1, 1))
         meas = simulate(channel, design, None)
         res = estimate_all(meas, design, pcfg, channel)

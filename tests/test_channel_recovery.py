@@ -1,5 +1,6 @@
 """Factor-to-channel recovery: ambiguity resolution, polish, grid refinement."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -46,7 +47,7 @@ def random_factors(rng, dims, rank):
 
 class TestResolveAmbiguity:
     def test_exact_inversion(self):
-        # build S_hat = S[:, assignment] * lambda and invert it exactly
+        # build S_hat = S[:, assignment] * lambda; the scale must not hide the assignment
         rng = np.random.default_rng(0)
         S = pilot_matrix(rng, t=6, u=4)
         assignment = np.array([2, 0, 0, 3, 1])
@@ -54,7 +55,6 @@ class TestResolveAmbiguity:
         S_hat = S[:, assignment] * lam[None, :]
         res = resolve_ambiguity(S_hat, S)
         np.testing.assert_array_equal(res.assignment, assignment)
-        np.testing.assert_allclose(res.lambda3, lam, rtol=1e-10)
         np.testing.assert_array_equal(res.paths_per_user, [2, 1, 1, 1])
         np.testing.assert_allclose(res.match_scores, 1.0, atol=1e-10)
         assert res.empty_users == ()
@@ -78,7 +78,17 @@ class TestPilotConstrainedPolish:
         rng = np.random.default_rng(3)
         F = random_factors(rng, (6, 5, 4), 3)
         Y = compose(F)
-        A, B = pilot_constrained_polish(Y, F.C, F.A, F.B, sweeps=2)
+        A, B = pilot_constrained_polish(Y, F.C, F.B, sweeps=2)
+        np.testing.assert_allclose(compose(FactorTriple(A, B, F.C)).data, Y.data,
+                                   rtol=1e-9, atol=1e-11)
+
+    def test_start_needs_no_scale(self):
+        # the A solve of the first sweep absorbs any per-component scale of B
+        rng = np.random.default_rng(5)
+        F = random_factors(rng, (6, 5, 4), 3)
+        Y = compose(F)
+        scale = np.array([1e-3, -2.0 + 5.0j, 40.0j])
+        A, B = pilot_constrained_polish(Y, F.C, F.B * scale[None, :], sweeps=1)
         np.testing.assert_allclose(compose(FactorTriple(A, B, F.C)).data, Y.data,
                                    rtol=1e-9, atol=1e-11)
 
@@ -89,11 +99,11 @@ class TestPilotConstrainedPolish:
         A0 = F.A + 0.2 * (rng.standard_normal(F.A.shape) + 1j * rng.standard_normal(F.A.shape))
         B0 = F.B + 0.2 * (rng.standard_normal(F.B.shape) + 1j * rng.standard_normal(F.B.shape))
         before = frobenius_norm(ComplexTensor3(Y.data - compose(FactorTriple(A0, B0, F.C)).data))
-        A, B = pilot_constrained_polish(Y, F.C, A0, B0, sweeps=3)
+        A, B = pilot_constrained_polish(Y, F.C, B0, sweeps=3)
         after = frobenius_norm(ComplexTensor3(Y.data - compose(FactorTriple(A, B, F.C)).data))
         # convergence is linear in the sweep count; 3 sweeps cut most of it
         assert after < 0.05 * before
-        A, B = pilot_constrained_polish(Y, F.C, A0, B0, sweeps=20)
+        A, B = pilot_constrained_polish(Y, F.C, B0, sweeps=20)
         deep = frobenius_norm(ComplexTensor3(Y.data - compose(FactorTriple(A, B, F.C)).data))
         assert deep < 1e-5 * before
 
@@ -133,10 +143,10 @@ class TestNmse:
             nmse([np.zeros((2, 2))], [np.zeros((2, 2))])
 
 
-def on_grid_scene(seed, n_users, paths, n_bs, n_ms, m_bs, t_prime, t, grid):
+def on_grid_scene(seed, paths, n_bs, n_ms, m_bs, t_prime, t, grid):
     rng = np.random.default_rng(seed)
     channel = sample_channel_on_grid(
-        rng, n_users, paths, n_bs, n_ms, grid.sin_aoa, grid.sin_aod)
+        rng, paths, n_bs, n_ms, grid.sin_aoa, grid.sin_aod)
     design = build_design(rng, n_bs, n_ms, m_bs, t_prime, t, paths)
     return channel, design
 
@@ -153,7 +163,7 @@ class TestEstimateUserChannel:
 
         monkeypatch.setattr(channel_recovery, "channel_from_grid", recording_channel_from_grid)
         grid = AngleGrid(32, 16)
-        channel, design = on_grid_scene(7, 1, (2,), 16, 8, 16, 16, 2, grid)
+        channel, design = on_grid_scene(7, (2,), 16, 8, 16, 16, 2, grid)
         H_true = assemble_all(channel)[0]
         z = (design.Q.T @ H_true @ design.P).ravel(order="F")
         cfg = PipelineConfig(grid=grid)
@@ -168,7 +178,7 @@ class TestEstimateUserChannel:
         monkeypatch.setattr(channel_recovery, "fista", unreachable)
         monkeypatch.setattr(channel_recovery, "top_singular_value", unreachable)
         grid = AngleGrid(32, 16)
-        channel, design = on_grid_scene(23, 2, (1, 2), 16, 8, 16, 16, 2, grid)
+        channel, design = on_grid_scene(23, (1, 2), 16, 8, 16, 16, 2, grid)
         H_true = assemble_all(channel)
         Z = np.stack([(design.Q.T @ H @ design.P).ravel(order="F") for H in H_true], axis=1)
         H, converged = refine_channels(Z, design, PipelineConfig(grid=grid), noise_std=0.0)
@@ -313,7 +323,7 @@ class TestRefineChannelsParity:
 
     def test_noiseless_multi_user_scene(self, monkeypatch):
         grid = AngleGrid(32, 16)
-        channel, design = on_grid_scene(22, 3, (1, 2, 1), 16, 8, 8, 8, 3, grid)
+        channel, design = on_grid_scene(22, (1, 2, 1), 16, 8, 8, 8, 3, grid)
         Z = np.stack([(design.Q.T @ H @ design.P).ravel(order="F")
                       for H in assemble_all(channel)], axis=1)
         self.check(monkeypatch, Z, design, PipelineConfig(grid=grid), 0.0)
@@ -322,7 +332,7 @@ class TestRefineChannelsParity:
 class TestEstimateAll:
     def test_noiseless_pipeline_known_rank(self):
         grid = AngleGrid(64, 32)
-        channel, design = on_grid_scene(11, 3, (1, 1, 1), 32, 16, 10, 10, 3, grid)
+        channel, design = on_grid_scene(11, (1, 1, 1), 32, 16, 10, 10, 3, grid)
         meas = simulate(channel, design, None)
         cfg = PipelineConfig(
             grid=grid, als=AlsConfig(max_iters=500, tol=1e-10),
@@ -333,13 +343,27 @@ class TestEstimateAll:
 
     def test_noiseless_pipeline_estimates_rank(self):
         grid = AngleGrid(64, 32)
-        channel, design = on_grid_scene(12, 3, (1, 2, 1), 32, 16, 10, 10, 4, grid)
+        channel, design = on_grid_scene(12, (1, 2, 1), 32, 16, 10, 10, 4, grid)
         meas = simulate(channel, design, None)
         cfg = PipelineConfig(
             grid=grid, als=AlsConfig(k_upper=10, max_iters=800, tol=1e-9))
         res = estimate_all(meas, design, cfg, channel)
         assert res.estimated_rank == 4
         assert res.nmse_total < 1e-4
+
+    def test_estimate_follows_the_channel_scale(self):
+        # the decomposition runs on a normalized copy; the estimate must come
+        # back at the scale of the measured channel, whatever it is
+        grid = AngleGrid(64, 32)
+        channel, design = on_grid_scene(11, (1, 1, 1), 32, 16, 10, 10, 3, grid)
+        cfg = PipelineConfig(grid=grid, als=AlsConfig(max_iters=500, tol=1e-10), known_rank=3)
+        for c in (1e-4, 3e3j):
+            scaled = type(channel)(
+                tuple(tuple(dataclasses.replace(p, gain=c * p.gain) for p in paths)
+                      for paths in channel.users),
+                channel.n_bs, channel.n_ms)
+            res = estimate_all(simulate(scaled, design, None), design, cfg, scaled)
+            assert res.nmse_total < 1e-6
 
     def test_zero_tensor_raises(self):
         rng = np.random.default_rng(13)

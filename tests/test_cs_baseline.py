@@ -195,8 +195,7 @@ class TestAssembleProblem:
         # true on-grid coefficient vector
         grid = AngleGrid(16, 8)
         rng = np.random.default_rng(6)
-        channel = sample_channel_on_grid(rng, 2, (1, 1), 16, 8,
-                                         grid.sin_aoa, grid.sin_aod)
+        channel = sample_channel_on_grid(rng, (1, 1), 16, 8, grid.sin_aoa, grid.sin_aod)
         design = build_design(rng, 16, 8, 8, 8, 2, (1, 1))
         meas = simulate(channel, design, None)
         prob = assemble_problem(meas, design, grid)
@@ -226,8 +225,7 @@ class TestSolveCs:
     def test_noiseless_on_grid_exact(self):
         grid = AngleGrid(32, 16)
         rng = np.random.default_rng(8)
-        channel = sample_channel_on_grid(rng, 2, (1, 1), 16, 8,
-                                         grid.sin_aoa, grid.sin_aod)
+        channel = sample_channel_on_grid(rng, (1, 1), 16, 8, grid.sin_aoa, grid.sin_aod)
         design = build_design(rng, 16, 8, 16, 16, 2, (1, 1))
         meas = simulate(channel, design, None)
         prob = assemble_problem(meas, design, grid)

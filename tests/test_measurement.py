@@ -95,9 +95,15 @@ class TestNoise:
 
     def test_seed_reproducibility(self):
         channel, design = small_scene(seed=4)
-        m1 = simulate(channel, design, 20.0, seed=42)
-        m2 = simulate(channel, design, 20.0, seed=42)
+        m1 = simulate(channel, design, 20.0, np.random.default_rng(42))
+        m2 = simulate(channel, design, 20.0, np.random.default_rng(42))
         np.testing.assert_array_equal(m1.y.data, m2.y.data)
+
+    def test_noise_without_a_generator_raises(self):
+        # noise is never drawn from an unseeded source
+        channel, design = small_scene(seed=4)
+        with pytest.raises(ValueError, match="noise generator"):
+            simulate(channel, design, 20.0)
 
     def test_noise_std_estimate_order_correct(self):
         channel, design = small_scene(seed=6)
@@ -120,5 +126,5 @@ class TestNoise:
             tuple(tuple(PathParams(0j, p.aoa, p.aod) for p in paths)
                   for paths in channel.users),
             channel.n_bs, channel.n_ms)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="all-zero signal"):
             simulate(zero, design, 10.0)
