@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cp_als
-from .channel_sim import GeometricChannel, steering_from_sin
+from .channel_sim import GeometricChannel, assemble_all, steering_from_sin
 from .measurement import MeasurementTensor, noise_std_per_entry
 from .sparse_solver import (
     AngleGrid,
@@ -217,6 +217,16 @@ def nmse(H_true: list[np.ndarray], H_hat: list[np.ndarray]) -> float:
     return float(num / den)
 
 
+def score_against_truth(
+    channel_truth: GeometricChannel | None, channels: list[np.ndarray]
+) -> tuple[float | None, list[float] | None]:
+    """Aggregate and per-user NMSE of an estimate; (None, None) without truth."""
+    if channel_truth is None:
+        return None, None
+    H_true = assemble_all(channel_truth)
+    return nmse(H_true, channels), [nmse([Ht], [Hh]) for Ht, Hh in zip(H_true, channels)]
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     grid: AngleGrid = AngleGrid(256, 128)
@@ -275,17 +285,11 @@ def estimate_all(
         raise ValueError("pilot matrix has k-rank < 2; the decomposition cannot be unique")
     t0 = time.perf_counter()
 
-    # decompose on a unit-Frobenius-norm copy so the regularization weight is
-    # scale-free; the pilot-constrained polish re-fits the scales on Y itself
     Y = measurement.y
-    scale = np.linalg.norm(Y.data)
-    if scale == 0.0:
-        raise ValueError("zero measurement tensor")
-    Yn = ComplexTensor3(Y.data / scale)
     if cfg.known_rank is not None:
-        res = cp_als.als_known_rank(Yn, cfg.known_rank, cfg.als)
+        res = cp_als.als_known_rank(Y, cfg.known_rank, cfg.als)
     else:
-        res = cp_als.als_regularized(Yn, cfg.als)
+        res = cp_als.als_regularized(Y, cfg.als)
     resolution = resolve_ambiguity(res.factors.C, design.S)
 
     # with the assignment fixed, the pilot-mode columns are known exactly;
@@ -300,13 +304,7 @@ def estimate_all(
         Z, design, cfg, noise_std_per_entry(measurement))
 
     runtime = time.perf_counter() - t0
-    nmse_total = None
-    nmse_users = None
-    if channel_truth is not None:
-        from .channel_sim import assemble_all
-        H_true = assemble_all(channel_truth)
-        nmse_total = nmse(H_true, channels)
-        nmse_users = [nmse([Ht], [Hh]) for Ht, Hh in zip(H_true, channels)]
+    nmse_total, nmse_users = score_against_truth(channel_truth, channels)
     return EstimationResult(
         channels=channels,
         resolution=resolution,
@@ -318,6 +316,5 @@ def estimate_all(
         diagnostics={
             "als_converged": res.converged,
             "solver_converged": solver_converged,
-            "match_scores": resolution.match_scores.tolist(),
         },
     )

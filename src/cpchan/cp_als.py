@@ -23,13 +23,19 @@ its R x R normal equations from the factor Grams kept across the sweep
 Y_(3)^T - kr(B, A) C^T, reusing the product the C update formed; only each
 run's first objective composes the dense tensor.
 
+Both entry points own the tensor's scale: each divides Y by its Frobenius
+norm once, runs every stage on that unit-norm copy (the ridge weight MU is
+calibrated to unit signal energy, so the rank estimate does not depend on the
+input's scale), and returns factors that fit Y itself, with C carrying ||Y||.
+Callers pass the measurement tensor as it is.
+
 A run without a given starting point starts from one random draw seeded by
 AlsConfig.seed.  Starts are deliberately not picked by objective: under the
 ridge penalty a fit that merges two paths into one component costs less, so
 the lowest objective under-counts the rank.  Both entry points record
-an objective trace (fit, plus the trace penalty for the ridge stage) that is
-non-increasing by construction since every update is an exact minimizer of
-its subproblem.
+an objective trace on the unit-norm copy (fit, plus the trace penalty for the
+ridge stage) that is non-increasing by construction since every update is an
+exact minimizer of its subproblem.
 """
 
 from __future__ import annotations
@@ -192,6 +198,19 @@ def _gevd_init(Y: ComplexTensor3, rank: int) -> FactorTriple | None:
     return FactorTriple(A0, B0, C0)
 
 
+def _unit_norm(Y: ComplexTensor3) -> tuple[ComplexTensor3, float]:
+    """Y / ||Y|| and ||Y||; every stage of an entry point fits that copy."""
+    scale = frobenius_norm(Y)
+    if scale == 0.0:
+        raise ValueError("input tensor is zero")
+    return ComplexTensor3(Y.data / scale), scale
+
+
+def _at_scale(F: FactorTriple, scale: float) -> FactorTriple:
+    """A fit of the unit-norm copy moved back to the input's scale through C."""
+    return FactorTriple(F.A, F.B, F.C * scale)
+
+
 def als_known_rank(Y: ComplexTensor3, L: int, cfg: AlsConfig | None = None) -> CpResult:
     """ALS fit with a fixed number of rank-one components.
 
@@ -205,23 +224,19 @@ def als_known_rank(Y: ComplexTensor3, L: int, cfg: AlsConfig | None = None) -> C
     """
     if L < 1:
         raise ValueError("rank must be >= 1")
-    if frobenius_norm(Y) == 0.0:
-        raise ValueError("input tensor is zero")
+    Yn, scale = _unit_norm(Y)
     cfg = cfg or AlsConfig()
-    # the ridge weight is calibrated to unit signal energy; warm up on a
-    # normalized copy and push the scale back through one factor
-    scale = frobenius_norm(Y)
     warm_cfg = replace(cfg, max_iters=min(cfg.max_iters, WARMUP_ITERS))
-    warm = _als_core(ComplexTensor3(Y.data / scale), L, warm_cfg, mu=MU)
-    init = FactorTriple(warm.factors.A, warm.factors.B, warm.factors.C * scale)
+    init = _als_core(Yn, L, warm_cfg, mu=MU).factors
     # the pencil init is exact on clean identifiable data but fragile under
     # noise at high rank; keep whichever starting point already fits better
-    pencil = _gevd_init(Y, L)
+    pencil = _gevd_init(Yn, L)
     if pencil is not None:
-        if _objective(Y, pencil.A, pencil.B, pencil.C, 0.0) < _objective(
-                Y, init.A, init.B, init.C, 0.0):
+        if _objective(Yn, pencil.A, pencil.B, pencil.C, 0.0) < _objective(
+                Yn, init.A, init.B, init.C, 0.0):
             init = pencil
-    return _als_core(Y, L, cfg, mu=0.0, init=init)
+    res = _als_core(Yn, L, cfg, mu=0.0, init=init)
+    return replace(res, factors=_at_scale(res.factors, scale))
 
 
 def component_energies(F: FactorTriple) -> np.ndarray:
@@ -251,10 +266,9 @@ def als_regularized(Y: ComplexTensor3, cfg: AlsConfig | None = None) -> CpResult
     whose objective the sweeps minimize monotonically.
     """
     cfg = cfg or AlsConfig()
-    if frobenius_norm(Y) == 0.0:
-        raise ValueError("input tensor is zero")
-    res = _als_core(Y, cfg.k_upper, cfg, mu=MU)
+    Yn, scale = _unit_norm(Y)
+    res = _als_core(Yn, cfg.k_upper, cfg, mu=MU)
     pruned, keep = prune_components(res.factors, PRUNE_THRESHOLD)
     rank = int(np.sum(keep))
-    polish = _als_core(Y, rank, cfg, mu=0.0, init=pruned)
-    return replace(res, factors=polish.factors, estimated_rank=rank)
+    polish = _als_core(Yn, rank, cfg, mu=0.0, init=pruned)
+    return replace(res, factors=_at_scale(polish.factors, scale), estimated_rank=rank)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_sim import GeometricChannel, assemble_all
-from .channel_recovery import _support_from_magnitudes, channel_from_grid, nmse
+from .channel_sim import GeometricChannel
+from .channel_recovery import _support_from_magnitudes, channel_from_grid, score_against_truth
 from .measurement import MeasurementTensor, noise_std_per_entry
 from .sparse_solver import (
     AngleGrid,
@@ -140,10 +140,6 @@ def solve_cs(
                 for sup, g in zip(supports, per_user_gains)]
 
     runtime = time.perf_counter() - t0
-    nm_total, nm_users = None, None
-    if channel_truth is not None:
-        H_true = assemble_all(channel_truth)
-        nm_total = nmse(H_true, channels)
-        nm_users = [nmse([Ht], [Hh]) for Ht, Hh in zip(H_true, channels)]
+    nm_total, nm_users = score_against_truth(channel_truth, channels)
     return CsResult(channels, supports, nm_total, nm_users,
                     runtime, sol.converged, sol.iterations)

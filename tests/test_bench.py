@@ -117,10 +117,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("grid_cpf", [256, 128]), ("grid_cs1", [64, 32]), ("grid_cs2", [128, 64]),
-        ("als_max_iters", 1000)])
+        ("als_max_iters", 1000), ("lambda_scale_cs", 1.0)])
     def test_retired_key_is_unknown(self, key, value):
-        # the grids follow the arrays and every ALS stage runs the library's
-        # sweep budget, so none of these can be set
+        # the grids follow the arrays, every ALS stage runs the library's
+        # sweep budget and the CS baseline its universal threshold, so none
+        # of these can be set
         with pytest.raises(ValueError, match=rf"unknown config keys.*{key}"):
             config_from_dict({**TINY, key: value})
 

@@ -174,12 +174,20 @@ class TestKnownRank:
         assert rel_fit(Y, res.factors) < 1e-7
 
     def test_recovers_scaled_tensor(self):
-        # the warm-up normalizes internally; recovery must be scale invariant
+        # the solver normalizes internally; recovery must be scale invariant
         rng = np.random.default_rng(11)
         F = random_factors(rng, (6, 5, 4), 3)
+        cfg = AlsConfig(max_iters=500, tol=1e-10)
         Y = ComplexTensor3(compose(F).data * 1e-7)
-        res = als_known_rank(Y, 3, AlsConfig(max_iters=500, tol=1e-10))
+        res = als_known_rank(Y, 3, cfg)
         assert rel_fit(Y, res.factors) < 1e-7
+        # a noisy tensor is fitted as well at any scale as at unit norm
+        noisy = noisy_tensor(11, (6, 5, 4), 3)
+        fit = rel_fit(noisy, als_known_rank(noisy, 3, cfg).factors)
+        for c in (1e-7, 1e5):
+            Ys = ComplexTensor3(noisy.data * c)
+            assert rel_fit(Ys, als_known_rank(Ys, 3, cfg).factors) == pytest.approx(
+                fit, rel=1e-9)
 
     def test_trace_monotone_nonincreasing(self):
         rng = np.random.default_rng(12)
@@ -264,6 +272,20 @@ class TestRegularized:
         noisy = ComplexTensor3((Y.data + W) / frobenius_norm(ComplexTensor3(Y.data + W)))
         res = als_regularized(noisy, AlsConfig(k_upper=8, max_iters=400))
         assert res.estimated_rank == 3
+
+    def test_rank_and_fit_do_not_depend_on_scale(self):
+        # the ridge weight is calibrated to unit energy; the solver, not its
+        # caller, normalizes, so any scale gives the unit-norm result
+        noisy = noisy_tensor(35, (12, 10, 6), 3, noise=0.01)
+        cfg = AlsConfig(k_upper=8, max_iters=400)
+        ranks, fits = [], []
+        for c in (1e-3, 0.1, 1.0, 10.0, 1e3):
+            Ys = ComplexTensor3(c * noisy.data)
+            res = als_regularized(Ys, cfg)
+            ranks.append(res.estimated_rank)
+            fits.append(rel_fit(Ys, res.factors))
+        assert ranks == [3] * 5
+        np.testing.assert_allclose(fits, fits[2], rtol=1e-9)
 
     def test_ridge_trace_monotone(self):
         rng = np.random.default_rng(36)
