@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts, alternating which runs first.
+
+    python3 scripts/bench_pairs.py --base ../parent --change . \\
+        --workload snr_sweep --seed 7 --pairs 10 [--records runs.json]
+
+Runs ``perfbench/run.py --trace 0`` (the command BENCHMARK.json names) in
+each checkout, one run at a time, for ``--pairs`` pairs at one seed: the base
+runs first in odd pairs and the change first in even ones, so a drift of the
+host's speed falls on both sides alike.  Each run lasts BENCHMARK.json's
+``run_seconds`` unless ``--seconds`` is given.  For every end-to-end metric it
+then prints each side's median and quartiles (``statistics.quantiles(values,
+n=4)``), the change of the median, the number of pairs the change won (by the
+metric's ``better`` direction; a tie is no win) and whether the medians lie
+further apart than the base's interquartile range.  ``--records`` writes every
+run's record from ``.perfbench_out/`` to a JSON file.  A checkout is any
+directory holding the repository, e.g. a ``git worktree`` of the parent.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("base", "change")
+
+
+def run_once(root: Path, cmd: list[str], workload: str, seed: int) -> dict:
+    """One run in checkout ``root``; returns its full record."""
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=1800)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{root}: run failed (exit {proc.returncode})\n{proc.stderr}")
+    record_path = root / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json"
+    return json.loads(record_path.read_text())
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def report(spec: dict, values: dict[str, dict[str, list[float]]]) -> None:
+    for m in spec["end_to_end"]:
+        name, lower = m["name"], m["better"] == "lower"
+        base, change = values["base"][name], values["change"][name]
+        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+        (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
+        rel = (cm - bm) / abs(bm) if bm else float("nan")
+        apart = abs(cm - bm) > b3 - b1
+        print(f"{name:22s} base {bm:.5g} [{b1:.5g}, {b3:.5g}]  "
+              f"change {cm:.5g} [{c1:.5g}, {c3:.5g}] {m['unit']}  "
+              f"{rel:+.1%}  wins {wins}/{len(base)}  "
+              f"{'apart' if apart else 'within base IQR'}")
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", type=Path, required=True, help="checkout of the parent")
+    p.add_argument("--change", type=Path, default=Path("."), help="checkout of the change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=None)
+    p.add_argument("--records", type=Path, default=None, help="write every run's record here")
+    args = p.parse_args(argv)
+
+    roots = {"base": args.base.resolve(), "change": args.change.resolve()}
+    spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    cmd = [*spec["command"], "--workload", args.workload, "--seed", str(args.seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    values = {side: {m["name"]: [] for m in spec["end_to_end"]} for side in SIDES}
+    runs = []
+    for pair in range(1, args.pairs + 1):
+        order = SIDES if pair % 2 else SIDES[::-1]
+        for side in order:
+            record = run_once(roots[side], cmd, args.workload, args.seed)
+            runs.append({"side": side, "workload": args.workload, "seed": args.seed,
+                         "pair": pair, "sequence": len(runs), "record": record})
+            for name, vals in values[side].items():
+                vals.append(record["metrics"][name]["value"])
+        print(f"pair {pair}: " + "  ".join(
+            f"{side} latency_s.p50={values[side]['latency_s.p50'][-1]:.4f}" for side in SIDES),
+            flush=True)
+    report(spec, values)
+    if args.records is not None:
+        args.records.write_text(json.dumps(runs))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,27 +10,37 @@ threshold lam / L (magnitude shrink, phase preserved), so for A = I the fixed
 point is x = soft(y, lam / 2).
 
 After the first iterations the iterate keeps well under 1% of its
-coefficients, so ``fista`` tracks supports: each iteration still builds the
-gradient step, its magnitudes and the threshold mask over all n
-coefficients, but once at most n / 16 entries pass the threshold test the
-soft threshold, the iterate and momentum updates and the l1 term run on the
-old and new supports only.  The iterates stay bit-identical to the plain
-dense loop.
+coefficients, so ``fista`` tracks supports: once at most n / 16 entries pass
+the threshold test, the soft threshold, the iterate and momentum updates and
+the l1 term run on the old and new supports only.  The gradient step, its
+magnitudes and the threshold mask still cover all n coefficients, except on
+an operator that screens its adjoint: there they cover only the rows of
+coefficients that can pass the threshold.  The iterates stay bit-identical
+to the plain dense loop.
 
 ``A`` may be a dense ndarray or any object exposing ``shape``,
 ``matvec(x, support=None)`` and ``rmatvec(y)``.  ``support`` is a hint: sorted
 indices outside which ``x`` is zero.  ``fista`` passes it in its
 support-tracking phase only (the power iteration and the dense phase pass
 none); an operator may use it to run the product over those columns alone,
-or ignore it, as ``MatrixOperator`` does.  The one AoA/AoD grid dictionary
-operator, ``StackedGridOperator``, lives here too: it applies the dictionary
-matrix-free through its Kronecker factors, batched over users, so the big
-dictionaries are never materialized, and it uses the hint once the support
-holds at most 1/SUPPORT_SHARE of the coefficients.  The CPF refinement
-solves on it directly; the CS baseline mixes it with the pilots
-(``cs_baseline.PilotKronOperator``).  Every grid dictionary operator has
-unit-norm columns, so one l1 weight treats all atoms alike; a coefficient
-divided by its ``atom_norms()`` entry (the physical atom's norm) is the gain.
+or ignore it, as ``MatrixOperator`` does.  An operator may also expose
+``rmatvec(y, out=None)`` and ``screened_rmatvec``, as the grid dictionary
+does.  The one AoA/AoD grid dictionary operator, ``StackedGridOperator``,
+lives here too: it applies the dictionary matrix-free through its Kronecker
+factors, batched over users, so the big dictionaries are never
+materialized, and it uses the hint once the support holds at most
+1/SUPPORT_SHARE of the coefficients.  Its adjoint is two GEMMs, the small
+first one giving one m_bs-entry row per user and AoD index; as every atom
+has unit norm, no adjoint entry of that grid row exceeds the row's norm.
+``screened_rmatvec`` runs the large second GEMM only on the rows whose
+bound can pass a floor (a safe screening rule in the sense of El Ghaoui,
+Viallon & Rabbani 2012, Pacific J. Optim. 8(4)).  The CPF refinement solves
+on the grid operator directly; the CS baseline mixes it with the pilots
+(``cs_baseline.PilotKronOperator``), which does not screen: at its plain
+universal threshold 99.8-100% of the rows pass the bound.  Every grid
+dictionary operator has unit-norm columns, so one l1 weight treats all atoms
+alike; a coefficient divided by its ``atom_norms()`` entry (the physical
+atom's norm) is the gain.
 """
 
 from __future__ import annotations
@@ -137,29 +147,58 @@ def _shrink(v, mag, t, out=None):
 SPARSE_SHARE = 16
 
 
+def _gradient_step(v, z, z_sup, z_at, neg_two_step, thresh, mag, below):
+    """v = z - step * (2 A^H (A z - y)) in place in ``v`` (the adjoint, or
+    the rows of it that ``z_at`` addresses), as (-(2 step) v) + z, with z
+    read on ``z_sup`` (all of it when None), plus its magnitudes and the
+    mask |v| <= thresh at the start of ``mag`` and ``below``.  Returns the
+    number of candidates: entries the soft threshold does not zero."""
+    np.multiply(v, neg_two_step, out=v)
+    if z_sup is None:
+        np.add(v, z, out=v)
+    else:
+        v[z_at] += z[z_sup]
+    mag, below = mag[:v.size], below[:v.size]
+    np.abs(v, out=mag)
+    np.less_equal(mag, thresh, out=below)
+    return v.size - np.count_nonzero(below)
+
+
 def fista(A, y, cfg: FistaConfig) -> FistaResult:
     """FISTA on F(x) = ||y - A x||^2 + lam ||x||_1.
 
-    Each iteration makes three full-length passes: the gradient step
-    v = z - step * 2 A^H (A z - y), built in place in ``rmatvec``'s output
-    (which must be a new array), its magnitudes |v|, and the mask of
-    candidates ~(|v| <= lam * step), the only entries the soft threshold can
-    keep.  When the candidates number at most n / SPARSE_SHARE, the threshold,
-    the iterate and momentum updates and the l1 term are computed on the old
-    and new supports only; above that the loop stays dense.  Either way the
-    per-entry arithmetic is that of the plain allocating loop, so the
-    iterates and the objective trace are the same bit for bit.  In the
-    support-tracking step the forward product gets the candidates as its
-    ``support`` hint (the iterate is zero outside them), so an operator that
-    uses the hint multiplies by those columns only; the allocating loop that
-    passes the same hint gives the same bits.
+    Each iteration forms the gradient step v = z - step * 2 A^H (A z - y),
+    built in place in ``rmatvec``'s output (which must be a new array, or
+    the buffer it is given), its magnitudes |v| and the mask of candidates
+    ~(|v| <= lam * step), the only entries the soft threshold can keep.  When the candidates number at most
+    n / SPARSE_SHARE, the threshold, the iterate and momentum updates and the
+    l1 term are computed on the old and new supports only; above that the
+    loop stays dense.  In the support-tracking step the forward product gets
+    the candidates as its ``support`` hint (the iterate is zero outside
+    them), so an operator that uses the hint multiplies by those columns
+    only.
+
+    After a support-tracking step, an operator with ``screened_rmatvec``
+    (the grid dictionary) forms the next gradient step on the grid rows that
+    can hold a candidate and on the rows of the momentum support only: off
+    the momentum support v is the scaled adjoint alone, which the operator's
+    bound keeps at or below the threshold on every row it skips.  The step,
+    magnitudes and mask then run over those rows, and the same update uses
+    their candidates; when the candidates exceed n / SPARSE_SHARE, the step
+    is formed again from the full adjoint and the loop goes dense.  Either
+    way the per-entry arithmetic is that of the plain allocating loop, so
+    the iterates and the objective trace are the same bit for bit, and so
+    are those of the allocating loop that passes the same ``support`` hint.
 
     Memory: the iterate (a dense, zero-padded vector) and the momentum point
     share one block allocated once per call; the magnitudes and the mask are
-    one buffer each.  The gradient-step vector lives only until the
-    threshold: the support-tracking step keeps at most n / SPARSE_SHARE
-    candidates of it and the dense step copies it into the iterate, and both
-    free it before ``matvec``.
+    one buffer each.  A screening operator writes every adjoint, screened or
+    full, into one more buffer of n entries.  For other operators the
+    gradient-step vector is
+    ``rmatvec``'s output and lives only until the threshold: the
+    support-tracking step keeps at most n / SPARSE_SHARE candidates of it
+    and the dense step copies it into the iterate, and both free it before
+    ``matvec``.
     """
     op = as_operator(A)
     y = np.asarray(y, dtype=np.complex128).ravel()
@@ -187,25 +226,36 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
     x, z = np.zeros((2, n), dtype=np.complex128)
     mag = np.empty(n)
     below = np.empty(n, dtype=bool)
+    # a screening operator writes every adjoint, full or screened, here
+    adj_buf = np.empty(n, dtype=np.complex128) if hasattr(op, "screened_rmatvec") else None
     # indices outside which x is zero and z is not read (its entries there
     # are zero in the dense loop but may be stale here); None while dense
     x_sup = z_sup = np.empty(0, dtype=np.intp)
+    screen = False               # screen the next adjoint (after a support-tracking step)
     ax = np.zeros(op.shape[0], dtype=np.complex128)
     az = ax                      # A z tracked through the linear momentum update
     t_momentum = 1.0
     converged = False
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        # v = z - step * (2 A^H (A z - y)), as (-(2 step) A^H (A z - y)) + z
-        v = op.rmatvec(az - y)
-        np.multiply(v, neg_two_step, out=v)
-        if z_sup is None:
-            np.add(v, z, out=v)
-        else:
-            v[z_sup] += z[z_sup]
-        np.abs(v, out=mag)
-        np.less_equal(mag, thresh, out=below)
-        n_cand = n - np.count_nonzero(below)
+        r = az - y
+        rows = None
+        if screen:
+            rows, v = op.screened_rmatvec(r, -neg_two_step, thresh, z_sup, adj_buf)
+            width = v.shape[1]
+            v = v.reshape(-1)
+            # a kept row's position in the flat block minus its coefficient
+            # index: an index k on the kept rows sits at k + shift[k // width]
+            shift = np.empty(n // width, dtype=np.intp)
+            shift[rows] = (np.arange(rows.size) - rows) * width
+            n_cand = _gradient_step(v, z, z_sup, z_sup + shift[z_sup // width],
+                                    neg_two_step, thresh, mag, below)
+            if n_cand * SPARSE_SHARE > n:
+                rows = None
+        if rows is None:
+            v = op.rmatvec(r) if adj_buf is None else op.rmatvec(r, out=adj_buf)
+            n_cand = _gradient_step(v, z, z_sup, z_sup, neg_two_step, thresh, mag, below)
+        del r
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2)) / 2.0
         beta = (t_momentum - 1.0) / t_new
         if n_cand * SPARSE_SHARE > n:
@@ -217,18 +267,25 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
             np.copyto(x, v)
             del v
             x_sup = z_sup = None
+            screen = False
             ax_new = op.matvec(x)
             np.abs(x, out=mag)
         else:
-            cand = np.flatnonzero(np.logical_not(below, out=below))
+            is_cand = np.logical_not(below[:v.size], out=below[:v.size])
+            cand = np.flatnonzero(is_cand)
             x_cand = v[cand]
             del v
             _shrink(x_cand, mag[cand], thresh, out=x_cand)
             if x_sup is None:
                 x_sup = np.flatnonzero(x)
+            if rows is None:
+                x_at = x_sup
+            else:
+                x_at = x_sup + shift[x_sup // width]
+                cand = rows[cand // width] * width + cand % width
             # the union of the supports: the candidates, then the old support
-            # entries that are not candidates (below now marks candidates)
-            moved = np.concatenate((cand, x_sup[~below[x_sup]]))
+            # entries that are not candidates
+            moved = np.concatenate((cand, x_sup[~is_cand[x_at]]))
             dx = x[moved]
             x[x_sup] = 0.0
             x[cand] = x_cand
@@ -239,6 +296,7 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
             np.add(x_moved, dx, out=dx)
             z[moved] = dx
             x_sup, z_sup = cand, moved
+            screen = adj_buf is not None
             ax_new = op.matvec(x, support=cand)
             # the l1 term sums a dense zero-padded |x|, as the dense loop
             # does, so the pairwise summation order is the same
@@ -251,7 +309,9 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
         if abs(trace[-2] - obj) <= cfg.tol * max(abs(trace[-2]), 1e-30):
             converged = True
             break
-    # a copy, so that a caller keeping the result does not keep the block
+    # a copy, so that a caller keeping the result does not keep the block;
+    # the adjoint's buffer goes first, so that the copy does not raise the peak
+    del adj_buf
     return FistaResult(x.copy(), trace, it, converged)
 
 
@@ -310,6 +370,37 @@ def grid_responses(design, grid: AngleGrid):
 # multiply-adds, the dense GEMMs about m_bs per coefficient at a higher rate,
 # and the measured crossovers sit near 1/44 (256x128 grid) and 1/55 (128x64)
 SUPPORT_SHARE = 64
+
+
+# The screen's bound must not fall below what fista computes.  A computed
+# adjoint entry is a K = m_bs term complex dot product of w with a unit
+# column (itself unit to a few ulp); with the scale by 2 step and the complex
+# abs it exceeds ||w|| * scale by at most about (m_bs + 6) * 2^-53 relative,
+# and _row_norms loses about as much again.  A margin of 1e-9 covers that
+# for any m_bs up to about 10^6.  Below the normal range rounding is
+# absolute, at most a few 2^-1074 per operation, which SCREEN_SLACK covers
+# and which makes a floor under about 1e-301 keep every row.
+SCREEN_MARGIN = 1e-9
+SCREEN_SLACK = 2.0 ** -1000
+# row norms inside these limits are safe to take from summed squares: no
+# square overflows, and squares that underflow lose under 2^-100 relative
+_NORM_SAFE = (2.0 ** -480, 2.0 ** 480)
+
+
+def _row_norms(W):
+    """Euclidean norms of the rows of complex W, free of underflow and overflow:
+    rows whose squares would leave the safe range (zero, tiny, huge, NaN or
+    inf rows) are rescaled by a power of two, an exact operation, first."""
+    Wf = W.view(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", Wf, Wf))
+    odd = np.flatnonzero(~((norms >= _NORM_SAFE[0]) & (norms <= _NORM_SAFE[1])))
+    if odd.size:
+        Wo = Wf[odd]
+        e = np.frexp(np.max(np.abs(Wo), axis=1))[1]
+        S = np.ldexp(Wo, -e[:, None])
+        with np.errstate(over="ignore"):
+            norms[odd] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", S, S)), e)
+    return norms
 
 
 class StackedGridOperator:
@@ -373,9 +464,49 @@ class StackedGridOperator:
                 np.matmul(cols_p[:, lo:hi], cols_q[lo:hi], out=out[u])
         return out.ravel()
 
-    def rmatvec(self, y):
+    def _first_stage(self, y):
+        """The adjoint's first product, G_P^H applied to each block's output,
+        as one m_bs-entry row per (block, AoD index)."""
         W = self._G_Pc.T @ y.reshape(self.n_rhs, self.t_prime, self.m_bs)
-        return (W.reshape(-1, self.m_bs) @ self._G_Qc).ravel()
+        return W.reshape(-1, self.m_bs)
+
+    def rmatvec(self, y, out=None):
+        """Phi^H y, written into ``out`` (a coefficient-length vector) when given."""
+        W = self._first_stage(y)
+        if out is not None:
+            out = out.reshape(W.shape[0], -1)
+        return np.matmul(W, self._G_Qc, out=out).ravel()
+
+    def screened_rmatvec(self, y, scale, floor, forced, out):
+        """The grid rows of Phi^H y that ``scale`` can lift above ``floor``.
+
+        A grid row is the n_aoa coefficients of one (block, AoD index); its
+        adjoint entries are the products of one first-stage row w with the
+        unit columns of G_Q, so none exceeds ||w||.  Rows whose bound
+        ``scale * ||w||`` (widened by SCREEN_MARGIN) is at most ``floor``
+        are skipped: each of their entries e has |scale * e| <= floor as
+        computed.  A NaN or inf row is never skipped.  The rows holding a
+        coefficient index of ``forced`` are kept whatever their bound.
+
+        Returns ``(rows, block)``: the kept rows in increasing order and the
+        (rows.size, n_aoa) array of their adjoint entries, written into the
+        front of ``out``, a coefficient-length buffer; ``block[i]`` is
+        ``rmatvec(y)`` over row ``rows[i]``, bit for bit.
+        """
+        W = self._first_stage(y)
+        bound = _row_norms(W)
+        np.multiply(bound, scale * (1.0 + SCREEN_MARGIN), out=bound)
+        np.add(bound, SCREEN_SLACK, out=bound)
+        keep = np.logical_not(bound <= floor)
+        width = self.grid.n_aoa
+        keep[forced // width] = True
+        rows = np.flatnonzero(keep)
+        if rows.size == 1 and keep.size > 1:
+            # numpy sends a one-row product to gemv, whose sums are not
+            # gemm's: a second row keeps the block bit for bit rmatvec's
+            rows = np.array([0, rows[0]] if rows[0] else [0, 1])
+        block = out[:rows.size * width].reshape(rows.size, width)
+        return rows, np.matmul(W[rows], self._G_Qc, out=block)
 
     def atom_norms(self) -> np.ndarray:
         """Per-column norms of the physical atoms kron(P^T a_ms, Q^T a_bs)."""

@@ -1,11 +1,14 @@
 """Proximal-gradient l1 solver and matrix-free angle-grid dictionaries."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpchan.channel_sim import sample_channel
+from cpchan.channel_recovery import FISTA_MAX_ITERS, FISTA_TOL, LAMBDA_SCALE
+from cpchan.channel_sim import assemble_all, sample_channel
 from cpchan.cs_baseline import PilotKronOperator
 from cpchan.sparse_solver import (
     SPARSE_SHARE,
@@ -66,6 +69,21 @@ def support_products(monkeypatch):
 
     monkeypatch.setattr(StackedGridOperator, "_support_matvec", spy)
     return sizes
+
+
+@pytest.fixture
+def screened_rows(monkeypatch):
+    """(kept, total) grid rows of every adjoint StackedGridOperator screens."""
+    counts = []
+    run = StackedGridOperator.screened_rmatvec
+
+    def spy(self, y, scale, floor, forced, out):
+        rows, block = run(self, y, scale, floor, forced, out)
+        counts.append((rows.size, self.n_rhs * self.grid.n_aod))
+        return rows, block
+
+    monkeypatch.setattr(StackedGridOperator, "screened_rmatvec", spy)
+    return counts
 
 
 def on_support(rng, n, support):
@@ -239,6 +257,147 @@ class TestSupportProduct:
             op.matvec(np.zeros(op.shape[1], dtype=np.complex128), support=np.array(support))
 
 
+def first_stage_norms(op, y):
+    """Norms of the grid operator's first-stage rows G_P^H Y_u, one per
+    (block, AoD index): the screen's bound on that grid row's adjoint."""
+    W = op.G_P.conj().T @ y.reshape(op.n_rhs, op.t_prime, op.m_bs)
+    return np.linalg.norm(W.reshape(-1, op.m_bs), axis=1)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def screen(op, y, scale, floor, forced=np.empty(0, dtype=np.intp)):
+    return op.screened_rmatvec(y, scale, floor, forced, np.empty(op.shape[1], dtype=np.complex128))
+
+
+@functools.cache
+def screening_op(shape):
+    """The table1 CPF refinement's operator (8 users, 256x128 grid,
+    m_bs = t' = 16) or a small one."""
+    if shape == "table1":
+        return StackedGridOperator(table1_design(), AngleGrid(256, 128), 8)
+    return StackedGridOperator(small_design(seed=50, m_bs=8, t_prime=8), AngleGrid(32, 16), 3)
+
+
+class TestScreenedAdjoint:
+    """screened_rmatvec against rmatvec: the kept rows bit for bit, and no
+    skipped row that the scale can lift above the floor."""
+
+    @pytest.mark.parametrize("shape", ["table1", "small"])
+    @pytest.mark.parametrize("n_kept", [0, 1, 2, "all"])
+    def test_kept_rows_match_rmatvec_bitwise(self, shape, n_kept):
+        op = screening_op(shape)
+        rng = np.random.default_rng(51)
+        y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+        norms = np.sort(first_stage_norms(op, y))[::-1]
+        scale = 0.37
+        # a floor halfway between the n_kept-th and the next largest bound
+        floor = scale * {0: 2.0 * norms[0], 1: (norms[0] + norms[1]) / 2,
+                         2: (norms[1] + norms[2]) / 2, "all": norms[-1] / 2}[n_kept]
+        full = op.rmatvec(y).reshape(-1, op.grid.n_aoa)
+        out = np.empty(op.shape[1], dtype=np.complex128)
+        rows, block = op.screened_rmatvec(y, scale, floor, np.empty(0, dtype=np.intp), out)
+        # a single kept row comes padded with a second one
+        assert rows.size == {0: 0, 1: 2, 2: 2, "all": full.shape[0]}[n_kept]
+        assert np.all(np.diff(rows) > 0)
+        assert same_bits(block, full[rows])
+        assert rows.size == 0 or np.shares_memory(block, out)
+
+    @pytest.mark.parametrize("shape", ["table1", "small"])
+    def test_rmatvec_into_a_buffer_is_rmatvec_bitwise(self, shape):
+        op = screening_op(shape)
+        rng = np.random.default_rng(57)
+        y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+        buf = np.empty(op.shape[1], dtype=np.complex128)
+        got = op.rmatvec(y, out=buf)
+        assert np.shares_memory(got, buf) and same_bits(got, op.rmatvec(y))
+
+    @pytest.mark.parametrize("shape", ["table1", "small"])
+    def test_single_row_is_padded_to_two(self, shape):
+        op = screening_op(shape)
+        rng = np.random.default_rng(52)
+        y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+        full = op.rmatvec(y).reshape(-1, op.grid.n_aoa)
+        width = op.grid.n_aoa
+        for row, want in ((0, [0, 1]), (5, [0, 5]), (full.shape[0] - 1, [0, full.shape[0] - 1])):
+            rows, block = screen(op, y, 1.0, np.inf, np.array([row * width + 3]))
+            assert rows.tolist() == want
+            assert same_bits(block, full[rows])
+
+    @pytest.mark.parametrize("shape", ["table1", "small"])
+    def test_skipped_rows_stay_below_a_floor_at_a_row_norm(self, shape):
+        op = screening_op(shape)
+        # y is one unit atom, so every first-stage row of its block is a
+        # multiple of that atom's G_Q column and holds an entry equal to its
+        # bound up to rounding; floors within 1e-12 relative of such a bound
+        # must skip no row with an entry above them
+        n, width = op.shape[1], op.grid.n_aoa
+        k = n // 3 + 17
+        e = np.zeros(n, dtype=np.complex128)
+        e[k] = 1.0
+        y = op.matvec(e)
+        full = op.rmatvec(y).reshape(-1, width)
+        norms = first_stage_norms(op, y)
+        scale = 2.0 * 0.0123
+        live = np.flatnonzero(norms > 1e-3 * norms.max())
+        tight_rows = (k // width, live[live.size // 2])
+        for row in tight_rows:
+            assert np.max(np.abs(full[row])) > (1 - 1e-13) * norms[row]
+            for rel in np.linspace(-1e-12, 1e-12, 9):
+                floor = scale * norms[row] * (1.0 + rel)
+                rows, _ = screen(op, y, scale, floor)
+                skipped = np.setdiff1d(np.arange(full.shape[0]), rows)
+                assert skipped.size
+                assert np.all(np.abs(full[skipped] * -scale) <= floor)
+                # the row's top entry can pass the floor, so it is kept
+                assert row in rows
+
+    def test_forced_rows_are_kept(self):
+        op = screening_op("small")
+        rng = np.random.default_rng(54)
+        y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+        full = op.rmatvec(y).reshape(-1, op.grid.n_aoa)
+        forced = np.sort(rng.choice(op.shape[1], 7, replace=False))
+        forced_rows = np.unique(forced // op.grid.n_aoa)
+        # no row passes an infinite floor, some pass the median bound
+        for floor in (np.inf, 0.5 * np.median(first_stage_norms(op, y))):
+            rows, block = screen(op, y, 0.5, floor, forced)
+            assert np.isin(forced_rows, rows).all()
+            assert (rows.size == forced_rows.size) == (floor == np.inf)
+            assert same_bits(block, full[rows])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_input_keeps_its_rows(self, bad):
+        # a non-finite entry of block u reaches every first-stage row of u
+        op = screening_op("small")
+        rng = np.random.default_rng(55)
+        y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+        u = 1
+        y[u * op.m_bs * op.t_prime + 9] = bad
+        with np.errstate(invalid="ignore"):
+            full = op.rmatvec(y).reshape(-1, op.grid.n_aoa)
+            rows, block = screen(op, y, 1.0, np.inf)
+        n_aod = op.grid.n_aod
+        np.testing.assert_array_equal(rows, np.arange(u * n_aod, (u + 1) * n_aod))
+        np.testing.assert_array_equal(block, full[rows])
+
+    @pytest.mark.parametrize("power", [-700, 700])
+    def test_bound_neither_underflows_nor_overflows(self, power):
+        # scaling y and the floor by a power of two scales every bound exactly,
+        # so the same rows pass; squared norms would be 0 (or inf) here
+        op = screening_op("table1")
+        rng = np.random.default_rng(56)
+        y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+        floor = 0.3 * np.median(first_stage_norms(op, y))
+        rows, _ = screen(op, y, 0.3, floor)
+        assert 0 < rows.size < op.n_rhs * op.grid.n_aod
+        with np.errstate(under="ignore"):
+            scaled_rows, _ = screen(op, y * 2.0 ** power, 0.3, floor * 2.0 ** power)
+        np.testing.assert_array_equal(scaled_rows, rows)
+
+
 def allocating_fista(A, y, cfg):
     """Reference FISTA loop that allocates every temporary afresh; the
     buffered solver must reproduce it bit for bit.  Like the solver, it gives
@@ -309,7 +468,8 @@ class TestFista:
                 (stacked, y_stacked, FistaConfig(lam=0.05, max_iters=150, tol=1e-7))):
             assert_matches_reference(op, y, cfg)
 
-    def test_support_tracking_matches_reference_bitwise(self, support_products):
+    def test_support_tracking_matches_reference_bitwise(self, support_products,
+                                                        screened_rows):
         # a sparse scene on a stacked grid: the first iterations keep too many
         # candidates, the later ones few enough to track supports, and some
         # few enough for the forward product over the support
@@ -322,6 +482,7 @@ class TestFista:
         sparse = assert_matches_reference(op, y, FistaConfig(lam=0.05, max_iters=300, tol=1e-9))
         assert not sparse[0] and sparse.any()
         assert support_products, "no iteration ran the support product"
+        assert any(kept < total for kept, total in screened_rows), "no row was skipped"
 
     def test_regime_switching_both_ways_matches_reference_bitwise(self):
         # candidates hover around n / SPARSE_SHARE, so the loop leaves the
@@ -346,6 +507,41 @@ class TestFista:
         sparse = assert_matches_reference(op, y, FistaConfig(lam=0.1, max_iters=400, tol=1e-9))
         assert sparse.any()
         assert support_products, "no iteration ran the support product"
+
+    @pytest.mark.parametrize("snr_db", [10, 30])
+    def test_table1_refinement_matches_reference_bitwise(self, snr_db, screened_rows):
+        # the CPF refinement's solve at table1 size: 8 users' compressed
+        # images on the 256x128 grid, with refine_channels' lambda and budget
+        rng = np.random.default_rng(60 + snr_db)
+        design = table1_design()
+        channel = sample_channel(rng, 8, [1, 1, 1, 2, 2, 2, 2, 2], 64, 32)
+        Z = np.stack([(design.Q.T @ H @ design.P).ravel(order="F")
+                      for H in assemble_all(channel)], axis=1)
+        noise_std = np.sqrt(np.mean(np.abs(Z) ** 2)) * 10 ** (-snr_db / 20)
+        Z = Z + noise_std * (rng.standard_normal(Z.shape)
+                             + 1j * rng.standard_normal(Z.shape)) / np.sqrt(2)
+        grid = AngleGrid(256, 128)
+        step = 1.0 / (2.0 * top_singular_value(StackedGridOperator(design, grid)) ** 2)
+        cfg = FistaConfig(lam=universal_lambda(noise_std, grid.size, LAMBDA_SCALE),
+                          max_iters=FISTA_MAX_ITERS, tol=FISTA_TOL, step=step)
+        sparse = assert_matches_reference(StackedGridOperator(design, grid, 8),
+                                          Z.ravel(order="F"), cfg)
+        assert sparse.sum() > FISTA_MAX_ITERS // 2
+        kept, total = np.array(screened_rows).T
+        assert kept.size > FISTA_MAX_ITERS // 2 and np.all(kept < total)
+
+    def test_pilot_kron_and_matrix_solves_never_screen(self, screened_rows):
+        rng = np.random.default_rng(37)
+        design = build_design(rng, 16, 8, 6, 5, 3, (1, 1, 1))
+        op = PilotKronOperator(design, AngleGrid(32, 16))
+        d0 = np.zeros(op.shape[1], dtype=np.complex128)
+        d0[[5, 700, 1100]] = [1.0, 0.7j, -0.9]
+        A = rng.standard_normal((24, 64)) + 1j * rng.standard_normal((24, 64))
+        for solve_op, y, lam in ((op, op.matvec(d0), 0.1),
+                                 (MatrixOperator(A), A[:, 3] - 0.5j * A[:, 40], 0.5)):
+            sparse = assert_matches_reference(solve_op, y, FistaConfig(lam=lam, max_iters=200))
+            assert sparse.any()
+        assert not screened_rows
 
     def test_noiseless_tiny_lambda_stays_dense_and_matches_reference(self):
         rng = np.random.default_rng(35)
