@@ -12,9 +12,12 @@ host's speed falls on both sides alike.  Each run lasts BENCHMARK.json's
 then prints each side's median and quartiles (``statistics.quantiles(values,
 n=4)``), the change of the median, the number of pairs the change won (by the
 metric's ``better`` direction; a tie is no win) and whether the medians lie
-further apart than the base's interquartile range.  ``--records`` writes every
-run's record from ``.perfbench_out/`` to a JSON file.  A checkout is any
-directory holding the repository, e.g. a ``git worktree`` of the parent.
+further apart than the base's interquartile range.  ``--records`` names a JSON
+file that holds every run's record from ``.perfbench_out/``, rewritten after
+each run.  A run that fails stops the script with exit code 1; the file then
+ends with an entry naming the failing side, its pair and its exit code (None
+after a timeout).  A checkout is any directory holding the repository, e.g. a
+``git worktree`` of the parent.
 """
 
 from __future__ import annotations
@@ -30,12 +33,16 @@ SIDES = ("base", "change")
 
 
 def run_once(root: Path, cmd: list[str], workload: str, seed: int) -> dict:
-    """One run in checkout ``root``; returns its full record."""
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=1800)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{root}: run failed (exit {proc.returncode})\n{proc.stderr}")
+    """One run in checkout ``root``; returns its full record.  Raises
+    CalledProcessError or TimeoutExpired if the run fails."""
+    subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=1800, check=True)
     record_path = root / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json"
     return json.loads(record_path.read_text())
+
+
+def save_records(path: Path | None, runs: list[dict]) -> None:
+    if path is not None:
+        path.write_text(json.dumps(runs))
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -80,17 +87,25 @@ def main(argv=None) -> int:
     for pair in range(1, args.pairs + 1):
         order = SIDES if pair % 2 else SIDES[::-1]
         for side in order:
-            record = run_once(roots[side], cmd, args.workload, args.seed)
-            runs.append({"side": side, "workload": args.workload, "seed": args.seed,
-                         "pair": pair, "sequence": len(runs), "record": record})
+            run = {"side": side, "workload": args.workload, "seed": args.seed,
+                   "pair": pair, "sequence": len(runs)}
+            try:
+                record = run_once(roots[side], cmd, args.workload, args.seed)
+            except (subprocess.CalledProcessError, subprocess.TimeoutExpired) as exc:
+                runs.append({**run, "failed": True,
+                             "exit_code": getattr(exc, "returncode", None)})
+                save_records(args.records, runs)
+                print(f"{side} run of pair {pair} failed: {exc}\n{exc.stderr}",
+                      file=sys.stderr)
+                return 1
+            runs.append({**run, "record": record})
+            save_records(args.records, runs)
             for name, vals in values[side].items():
                 vals.append(record["metrics"][name]["value"])
         print(f"pair {pair}: " + "  ".join(
             f"{side} latency_s.p50={values[side]['latency_s.p50'][-1]:.4f}" for side in SIDES),
             flush=True)
     report(spec, values)
-    if args.records is not None:
-        args.records.write_text(json.dumps(runs))
     return 0
 
 

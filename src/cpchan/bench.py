@@ -47,8 +47,8 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 # every angle grid is the arrays (n_bs AoAs x n_ms AoDs) oversampled by a
-# fixed factor per method
-CPF_OVERSAMPLING = 4
+# fixed factor per method; the CPF refinement's factor is
+# channel_recovery.CPF_OVERSAMPLING
 CS_OVERSAMPLING = {"cs_grid1": 1, "cs_grid2": 2}
 
 
@@ -197,11 +197,8 @@ def _trial_seed(root: int, point_idx: int, trial: int) -> np.random.SeedSequence
 
 
 def _pipeline_config(cfg: ExperimentConfig, known_rank: int | None, als_seed: int):
-    return channel_recovery.PipelineConfig(
-        grid=AngleGrid(CPF_OVERSAMPLING * cfg.n_bs, CPF_OVERSAMPLING * cfg.n_ms),
-        als=AlsConfig(seed=als_seed),
-        known_rank=known_rank,
-    )
+    # the refinement grid follows the design's arrays, so ``cfg`` goes unread
+    return channel_recovery.PipelineConfig(als=AlsConfig(seed=als_seed), known_rank=known_rank)
 
 
 def point_indices(cfg: ExperimentConfig) -> range:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cp_als
-from .channel_sim import GeometricChannel, assemble_all, steering_from_sin
+from .channel_sim import GeometricChannel, assemble_all, synthesize
 from .measurement import MeasurementTensor, noise_std_per_entry
 from .sparse_solver import (
     AngleGrid,
@@ -37,6 +37,7 @@ from .sparse_solver import (
 from .tensor_core import ComplexTensor3, khatri_rao, unfold
 from .training_design import TrainingDesign, krank
 
+CPF_OVERSAMPLING = 4      # refinement grid: n_bs AoAs x n_ms AoDs, each oversampled 4x
 SUPPORT_THRESHOLD = 0.05  # keep grid coefficients above 5% of the peak magnitude
 REFIT_RCOND = 1e-2        # truncated-SVD cutoff for the debias refit (see below)
 # a hard threshold (large c) suits the per-user refinement, which debiases on
@@ -195,15 +196,8 @@ def channel_from_grid(
     n_ms: int,
 ) -> np.ndarray:
     """Sum of grid-steering rank-one terms for the recovered support."""
-    H = np.zeros((n_bs, n_ms), dtype=np.complex128)
-    if support.size == 0:
-        return H
-    aod_idx, aoa_idx = zip(*(grid.cell(k) for k in support))
-    A = steering_from_sin(grid.sin_aoa[list(aoa_idx)], n_bs)
-    B = steering_from_sin(grid.sin_aod[list(aod_idx)], n_ms)
-    for r, g in enumerate(gains):
-        H += g * np.outer(A[:, r], B[:, r])
-    return H
+    aod_idx, aoa_idx = np.divmod(support, grid.n_aoa)
+    return synthesize(gains, grid.sin_aoa[aoa_idx], grid.sin_aod[aod_idx], n_bs, n_ms)
 
 
 def nmse(H_true: list[np.ndarray], H_hat: list[np.ndarray]) -> float:
@@ -229,7 +223,7 @@ def score_against_truth(
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    grid: AngleGrid = AngleGrid(256, 128)
+    grid: AngleGrid | None = None       # None: the design's arrays x CPF_OVERSAMPLING
     als: cp_als.AlsConfig = cp_als.AlsConfig()
     known_rank: int | None = None       # run fixed-rank ALS when set
 
@@ -250,25 +244,28 @@ def refine_channels(
     """
     Z = np.asfortranarray(Z, dtype=np.complex128)
     n_users = Z.shape[1]
-    op = StackedGridOperator(design, cfg.grid)
+    grid = cfg.grid
+    if grid is None:
+        grid = AngleGrid(CPF_OVERSAMPLING * design.n_bs, CPF_OVERSAMPLING * design.n_ms)
+    op = StackedGridOperator(design, grid)
     if noise_std > 0.0:
-        lam = universal_lambda(noise_std, cfg.grid.size, LAMBDA_SCALE)
+        lam = universal_lambda(noise_std, grid.size, LAMBDA_SCALE)
         # all users share the dictionary, so the per-user solves batch into
         # one block-diagonal FISTA run; its blocks are identical, so its top
         # singular value is the single block's
         step = 1.0 / (2.0 * top_singular_value(op) ** 2)
         sol = fista(
-            StackedGridOperator(design, cfg.grid, n_users),
+            StackedGridOperator(design, grid, n_users),
             Z.ravel(order="F"),
             FistaConfig(lam=lam, max_iters=FISTA_MAX_ITERS, tol=FISTA_TOL, step=step),
         )
-        X = sol.x.reshape(cfg.grid.size, n_users, order="F")
+        X = sol.x.reshape(grid.size, n_users, order="F")
         supports = [_support_and_refit(op, Z[:, u], X[:, u]) for u in range(n_users)]
         converged = sol.converged
     else:
         supports = [_omp_support(op, Z[:, u]) for u in range(n_users)]
         converged = True
-    channels = [channel_from_grid(support, gains, cfg.grid, design.n_bs, design.n_ms)
+    channels = [channel_from_grid(support, gains, grid, design.n_bs, design.n_ms)
                 for support, gains in supports]
     return channels, converged
 

@@ -7,6 +7,8 @@ Channels follow the flat geometric model
 with unit-norm half-wavelength ULA steering vectors on both sides.  The
 element spacing D_OVER_LAMBDA is a module constant, so the simulated channels,
 the uniqueness check and the estimators' grid dictionaries all share it.
+``synthesize`` forms this sum for any gains and sin-angles; the true channels
+(``assemble``) and the estimators' grid channels are both built by it.
 Angles of arrival and departure are drawn uniformly on [0, 2*pi]; since the
 array response depends only on sin(angle), angles outside (-pi/2, pi/2] alias
 onto that interval, which is harmless for estimation (everything downstream
@@ -71,9 +73,13 @@ class GeometricChannel:
     def total_paths(self) -> int:
         return sum(self.paths_per_user)
 
-    def flat_paths(self) -> list[PathParams]:
-        """All paths in user order (user 0's paths first, etc.)."""
-        return [p for paths in self.users for p in paths]
+    def path_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gains, sin(AoA) and sin(AoD) of all paths in user order (user 0's
+        paths first, etc.)."""
+        flat = [p for paths in self.users for p in paths]
+        return (np.array([p.gain for p in flat], dtype=np.complex128),
+                np.array([np.sin(p.aoa) for p in flat], dtype=np.float64),
+                np.array([np.sin(p.aod) for p in flat], dtype=np.float64))
 
 
 def steering_from_sin(sin_angle, n: int) -> np.ndarray:
@@ -157,16 +163,27 @@ def sample_channel_on_grid(
     return GeometricChannel(tuple(users), n_bs, n_ms)
 
 
+def synthesize(gains, sin_aoa, sin_aod, n_bs: int, n_ms: int) -> np.ndarray:
+    """sum_r gains[r] * a_bs(sin_aoa[r]) a_ms(sin_aod[r])^T, an n_bs x n_ms
+    matrix, accumulated one path at a time in the given order."""
+    if not len(gains) == len(sin_aoa) == len(sin_aod):
+        raise ValueError(f"{len(gains)} gains for {len(sin_aoa)} AoAs and "
+                         f"{len(sin_aod)} AoDs")
+    A = steering_from_sin(np.asarray(sin_aoa, dtype=np.float64), n_bs)
+    B = steering_from_sin(np.asarray(sin_aod, dtype=np.float64), n_ms)
+    H = np.zeros((n_bs, n_ms), dtype=np.complex128)
+    for g, a, b in zip(gains, A.T, B.T):
+        H += g * np.outer(a, b)
+    return H
+
+
 def assemble(channel: GeometricChannel, u: int) -> np.ndarray:
     """Assemble user u's n_bs x n_ms channel matrix from its paths."""
     if not (0 <= u < channel.n_users):
         raise IndexError(f"user index {u} out of range")
-    H = np.zeros((channel.n_bs, channel.n_ms), dtype=np.complex128)
-    for p in channel.users[u]:
-        a = steering_from_sin(np.sin(p.aoa), channel.n_bs)
-        b = steering_from_sin(np.sin(p.aod), channel.n_ms)
-        H += p.gain * np.outer(a, b)
-    return H
+    first = sum(channel.paths_per_user[:u])
+    own = slice(first, first + len(channel.users[u]))
+    return synthesize(*(x[own] for x in channel.path_arrays()), channel.n_bs, channel.n_ms)
 
 
 def assemble_all(channel: GeometricChannel) -> list[np.ndarray]:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_sim import GeometricChannel, steering_from_sin
+from .channel_sim import GeometricChannel
 from .tensor_core import ComplexTensor3, FactorTriple, compose, frobenius_norm
-from .training_design import TrainingDesign
+from .training_design import TrainingDesign, check_channel_fits
 
 
 @dataclass(frozen=True)
@@ -38,19 +38,11 @@ class MeasurementTensor:
 def ideal_factors(channel: GeometricChannel, design: TrainingDesign):
     """Noiseless CP factors (A_Q, A_P, S_L) of the received tensor; column l of
     S_L copies the pilot column of the user that owns path l."""
-    if channel.n_users != design.n_users:
-        raise ValueError(f"channel has {channel.n_users} users but the design has "
-                         f"{design.n_users} pilot columns")
-    paths = channel.flat_paths()
-    gains = np.array([p.gain for p in paths])
-    sin_aoa = np.array([np.sin(p.aoa) for p in paths])
-    sin_aod = np.array([np.sin(p.aod) for p in paths])
-    A_bs = steering_from_sin(sin_aoa, channel.n_bs)
-    A_ms = steering_from_sin(sin_aod, channel.n_ms)
-    A_Q = (design.Q.T @ A_bs) * gains[None, :]
-    A_P = design.P.T @ A_ms
+    check_channel_fits(design, channel)
+    gains, sin_aoa, sin_aod = channel.path_arrays()
+    A_Q, A_P = design.responses(sin_aoa, sin_aod)
     S_L = design.S[:, np.repeat(np.arange(channel.n_users), channel.paths_per_user)]
-    return A_Q, A_P, S_L
+    return A_Q * gains[None, :], A_P, S_L
 
 
 def noiseless_tensor(channel: GeometricChannel, design: TrainingDesign) -> ComplexTensor3:

@@ -356,15 +356,6 @@ class AngleGrid:
         return divmod(int(linear_index), self.n_aoa)
 
 
-def grid_responses(design, grid: AngleGrid):
-    """Compressed steering responses (G_Q = Q^T a_bs over the AoA grid,
-    G_P = P^T a_ms over the AoD grid)."""
-    from .channel_sim import steering_from_sin
-    G_Q = design.Q.T @ steering_from_sin(grid.sin_aoa, design.n_bs)
-    G_P = design.P.T @ steering_from_sin(grid.sin_aod, design.n_ms)
-    return G_Q, G_P
-
-
 # matvec runs over the support's columns once it holds at most
 # 1/SUPPORT_SHARE of the coefficients: a support entry costs m_bs * t' complex
 # multiply-adds, the dense GEMMs about m_bs per coefficient at a higher rate,
@@ -419,7 +410,7 @@ class StackedGridOperator:
             raise ValueError("need at least one right-hand side")
         self.grid = grid
         self.n_rhs = n_rhs
-        G_Q, G_P = grid_responses(design, grid)
+        G_Q, G_P = design.responses(grid.sin_aoa, grid.sin_aod)
         # dictionary column norms separate as ||G_P_i|| * ||G_Q_j||, so
         # per-factor normalization yields exactly unit-norm columns
         self._norms_q, self._norms_p = np.linalg.norm(G_Q, axis=0), np.linalg.norm(G_P, axis=0)
@@ -521,5 +512,5 @@ class StackedGridOperator:
 def build_dictionary(design, grid: AngleGrid) -> np.ndarray:
     """Dense (m_bs * t_prime) x (n_aoa * n_aod) dictionary via the mixed-product
     identity; intended for oracle tests and small grids only."""
-    G_Q, G_P = grid_responses(design, grid)
+    G_Q, G_P = design.responses(grid.sin_aoa, grid.sin_aod)
     return np.kron(G_P, G_Q)

@@ -5,6 +5,9 @@ A training design consists of
   * Q  (n_bs x m_bs)     combining matrix, entries (1/n_bs) e^{j*theta},
   * S  (t x u)           pilot matrix with unit-norm columns, one per user.
 It holds no path counts: those belong to the channel (measurement.ideal_factors).
+``TrainingDesign.responses`` gives the compressed array responses Q^T a_bs and
+P^T a_ms: the CP factors of the received tensor, whose k-ranks decide its
+uniqueness, and the factors of the grid dictionaries.
 
 The constant-modulus scaling of P and Q follows the analog phase-shifter
 constraint (note the 1/n scaling, not 1/sqrt(n); it only shifts the global
@@ -17,6 +20,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+
+from .channel_sim import steering_from_sin
 
 KRANK_TOL = 1e-9          # subset dependent when sigma_min / sigma_max(full M) < tol
 KRANK_EXHAUSTIVE_MAX = 20  # exhaustive subset search only up to this many items
@@ -65,6 +70,21 @@ class TrainingDesign:
     def n_users(self) -> int:
         return self.S.shape[1]
 
+    def responses(self, sin_aoa, sin_aod) -> tuple[np.ndarray, np.ndarray]:
+        """Compressed array responses (Q^T a_bs(sin_aoa), P^T a_ms(sin_aod)),
+        one column per given sin-angle."""
+        return (self.Q.T @ steering_from_sin(sin_aoa, self.n_bs),
+                self.P.T @ steering_from_sin(sin_aod, self.n_ms))
+
+
+def check_channel_fits(design: TrainingDesign, channel) -> None:
+    """Raise ValueError unless the channel has the design's users and arrays."""
+    for what, have, want, unit in (
+            ("users", channel.n_users, design.n_users, "pilot columns"),
+            ("BS antennas", channel.n_bs, design.n_bs, "rows of Q"),
+            ("MS antennas", channel.n_ms, design.n_ms, "rows of P")):
+        if have != want:
+            raise ValueError(f"channel has {have} {what} but the design has {want} {unit}")
 
 
 def random_unit_modulus(rng: np.random.Generator, rows: int, cols: int, scale: float) -> np.ndarray:
@@ -251,7 +271,7 @@ class UniquenessReport:
     kruskal_lhs: int
     kruskal_rhs: int
     kruskal_ok: bool
-    dimension_ok: bool           # m_bs * t_prime >= sum L_u^2 (multi-path only)
+    dimension_ok: bool           # m_bs * t_prime >= sum L_u^2
     passed: bool
 
     def summary(self) -> str:
@@ -263,35 +283,20 @@ class UniquenessReport:
 
 
 def check_uniqueness(design: TrainingDesign, channel) -> UniquenessReport:
-    """Evaluate the identifiability conditions for a design/channel pair.
-
-    Single-path users: k(A_Q) + k(A_P) + k(S) >= 2U + 2.
-    Multi-path users:  m_bs * t_prime >= sum L_u^2  and
-                       k'(A_Q) + k'(A_P) + k(S) >= 2U + 2,
-    with the partition rank taken over per-user column blocks.
-    """
-    from .channel_sim import steering_from_sin  # local import avoids a cycle
-
-    paths = channel.flat_paths()
-    sin_aoa = np.array([np.sin(p.aoa) for p in paths])
-    sin_aod = np.array([np.sin(p.aod) for p in paths])
-    A_Q = design.Q.T @ steering_from_sin(sin_aoa, channel.n_bs)
-    A_P = design.P.T @ steering_from_sin(sin_aod, channel.n_ms)
+    """Evaluate the identifiability conditions for a design/channel pair:
+    m_bs * t_prime >= sum L_u^2 and k'(A_Q) + k'(A_P) + k(S) >= 2U + 2, with
+    the partition ranks k' taken over per-user column blocks."""
+    check_channel_fits(design, channel)
+    _, sin_aoa, sin_aod = channel.path_arrays()
+    A_Q, A_P = design.responses(sin_aoa, sin_aod)
     ppu = channel.paths_per_user
-    U = channel.n_users
     k_s = krank(design.S)
-    rhs = 2 * U + 2
-    if all(l == 1 for l in ppu):
-        k_aq, k_ap = krank(A_Q), krank(A_P)
-        lhs = k_aq + k_ap + k_s
-        dim_ok = True
-        passed = lhs >= rhs
-        regime = "single_path"
-    else:
-        k_aq = krank_partitioned(A_Q, ppu)
-        k_ap = krank_partitioned(A_P, ppu)
-        lhs = k_aq + k_ap + k_s
-        dim_ok = design.m_bs * design.t_prime >= sum(l * l for l in ppu)
-        passed = dim_ok and lhs >= rhs
-        regime = "multi_path"
-    return UniquenessReport(regime, k_aq, k_ap, k_s, lhs, rhs, lhs >= rhs, dim_ok, passed)
+    k_aq, k_ap = krank_partitioned(A_Q, ppu), krank_partitioned(A_P, ppu)
+    lhs, rhs = k_aq + k_ap + k_s, 2 * channel.n_users + 2
+    # single-path users (unit blocks, where k' is the Kruskal rank) pass on the
+    # rank sum alone: as k(S) <= U it needs k(A_Q) + k(A_P) >= U + 2, and with
+    # k(A_Q) <= m_bs, k(A_P) <= t_prime, m_bs t_prime >= m_bs + t_prime - 1 > U
+    dim_ok = design.m_bs * design.t_prime >= sum(l * l for l in ppu)
+    regime = "single_path" if all(l == 1 for l in ppu) else "multi_path"
+    return UniquenessReport(regime, k_aq, k_ap, k_s, lhs, rhs, lhs >= rhs, dim_ok,
+                            dim_ok and lhs >= rhs)

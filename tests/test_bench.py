@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpchan import bench, cli, training_design
+from cpchan import bench, channel_recovery, cli, training_design
 from cpchan.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -81,12 +81,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"unknown config keys.*n_users"):
             config_from_dict({**TINY, "n_users": 2})
 
-    def test_grids_follow_the_arrays(self):
-        # CS at 1x and 2x the arrays, the CPF refinement at 4x
-        cfg = ExperimentConfig(**TINY)
+    def test_grids_follow_the_arrays(self, monkeypatch):
+        # CS at 1x and 2x the arrays, the CPF refinement at 4x: a trial's
+        # refinement builds its grid operators on the 4x grid
+        cfg = ExperimentConfig(**TINY, methods=("cpf_known_L",))
         assert (cfg.grid_cs1, cfg.grid_cs2) == ((16, 8), (32, 16))
-        grid = bench._pipeline_config(cfg, None, 0).grid
-        assert (grid.n_aoa, grid.n_aod) == (64, 32)
+        grids = []
+        operator = channel_recovery.StackedGridOperator
+
+        def recording_operator(design, grid, *args):
+            grids.append((grid.n_aoa, grid.n_aod))
+            return operator(design, grid, *args)
+
+        monkeypatch.setattr(channel_recovery, "StackedGridOperator", recording_operator)
+        (row,) = run_trial(cfg, 0, 0)
+        assert row.status == "ok"
+        assert grids and set(grids) == {(64, 32)}
 
     def test_at_point_pins_sweep_variable(self):
         cfg = ExperimentConfig(sweep_variable="snr_db", sweep_values=(0.0, 20.0))

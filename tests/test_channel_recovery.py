@@ -32,7 +32,6 @@ from cpchan.sparse_solver import (
     FistaConfig,
     StackedGridOperator,
     fista,
-    grid_responses,
     top_singular_value,
     universal_lambda,
 )
@@ -124,6 +123,25 @@ class TestChannelFromGrid:
                               AngleGrid(4, 4), 8, 4)
         np.testing.assert_array_equal(H, 0)
 
+    def test_on_grid_channel_matches_assemble_bitwise(self):
+        # only grid points whose sine survives the round trip through the
+        # path's angle, so that both sides sum the same steering vectors
+        grid = AngleGrid(32, 16)
+        exact = [v[np.sin(np.arcsin(v) % (2 * np.pi)) == v] for v in (grid.sin_aoa, grid.sin_aod)]
+        channel = sample_channel_on_grid(np.random.default_rng(4), (2, 3), 16, 8, *exact)
+        gains, sin_aoa, sin_aod = channel.path_arrays()
+        aoa, aod = np.searchsorted(grid.sin_aoa, sin_aoa), np.searchsorted(grid.sin_aod, sin_aod)
+        np.testing.assert_array_equal(grid.sin_aoa[aoa], sin_aoa)
+        np.testing.assert_array_equal(grid.sin_aod[aod], sin_aod)
+        support = aod * grid.n_aoa + aoa
+        for own, H in zip((slice(0, 2), slice(2, 5)), assemble_all(channel)):
+            assert np.array_equal(channel_from_grid(support[own], gains[own], grid, 16, 8), H)
+
+    def test_gain_count_must_match_the_support(self):
+        # one gain short used to drop the last atom without a word
+        with pytest.raises(ValueError, match="1 gains for 2 AoAs"):
+            channel_from_grid(np.array([3, 9]), np.array([1.0 + 0j]), AngleGrid(8, 6), 16, 8)
+
 
 class TestNmse:
     def test_perfect_estimate_is_zero(self):
@@ -200,7 +218,7 @@ class PhysicalGridBlock:
 
     def __init__(self, design, grid):
         self.grid = grid
-        self.G_Q, self.G_P = grid_responses(design, grid)
+        self.G_Q, self.G_P = design.responses(grid.sin_aoa, grid.sin_aod)
         self.shape = (self.G_Q.shape[0] * self.G_P.shape[0], grid.size)
 
     def rmatvec(self, y):
@@ -330,6 +348,23 @@ class TestRefineChannelsParity:
 
 
 class TestEstimateAll:
+    def test_default_grid_follows_the_arrays(self, monkeypatch):
+        # a 16x8 design refines on its arrays oversampled CPF_OVERSAMPLING (4)
+        # times, whatever the table1 arrays are
+        grids = []
+        operator = channel_recovery.StackedGridOperator
+
+        def recording_operator(design, grid, *args):
+            grids.append((grid.n_aoa, grid.n_aod))
+            return operator(design, grid, *args)
+
+        monkeypatch.setattr(channel_recovery, "StackedGridOperator", recording_operator)
+        rng = np.random.default_rng(9)
+        channel = sample_channel(rng, 2, (1, 2), 16, 8)
+        design = build_design(rng, 16, 8, 8, 8, 2, (1, 2))
+        estimate_all(simulate(channel, design, 30.0, rng), design)
+        assert grids and set(grids) == {(64, 32)}
+
     def test_noiseless_pipeline_known_rank(self):
         grid = AngleGrid(64, 32)
         channel, design = on_grid_scene(11, (1, 1, 1), 32, 16, 10, 10, 3, grid)

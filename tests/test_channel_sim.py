@@ -16,6 +16,7 @@ from cpchan.channel_sim import (
     path_gain_variance,
     sample_channel,
     steering_from_sin,
+    synthesize,
 )
 
 
@@ -64,7 +65,7 @@ class TestSampleChannel:
 
     def test_angles_in_range(self):
         ch = sample_channel(np.random.default_rng(1), 4, (2, 2, 2, 2), 8, 4)
-        for p in ch.flat_paths():
+        for p in sum(ch.users, ()):
             assert 0 <= p.aoa <= 2 * np.pi
             assert 0 <= p.aod <= 2 * np.pi
 
@@ -124,6 +125,19 @@ class TestAssemble:
         ch = sample_channel(np.random.default_rng(0), 1, (1,), 4, 4)
         with pytest.raises(IndexError):
             assemble(ch, 1)
+
+    def test_path_arrays_in_user_order(self):
+        ch = sample_channel(np.random.default_rng(7), 2, (2, 1), 8, 4)
+        gains, sin_aoa, sin_aod = ch.path_arrays()
+        paths = [p for user in ch.users for p in user]
+        np.testing.assert_array_equal(gains, [p.gain for p in paths])
+        np.testing.assert_array_equal(sin_aoa, [np.sin(p.aoa) for p in paths])
+        np.testing.assert_array_equal(sin_aod, [np.sin(p.aod) for p in paths])
+
+    @pytest.mark.parametrize("n_gains, n_aoa, n_aod", [(1, 2, 2), (3, 2, 2), (2, 2, 1)])
+    def test_synthesize_needs_one_gain_per_angle_pair(self, n_gains, n_aoa, n_aod):
+        with pytest.raises(ValueError, match=f"{n_gains} gains for {n_aoa} AoAs"):
+            synthesize(np.ones(n_gains, complex), np.zeros(n_aoa), np.zeros(n_aod), 8, 4)
 
 
 class TestQuasiOrthogonality:

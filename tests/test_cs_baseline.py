@@ -15,7 +15,6 @@ from cpchan.sparse_solver import (
     adjoint_mismatch,
     build_dictionary,
     fista,
-    grid_responses,
     universal_lambda,
 )
 from cpchan.tensor_core import ComplexTensor3
@@ -34,7 +33,7 @@ class LoopPilotKronOperator:
     def __init__(self, design, grid):
         self.S = design.S
         self.grid = grid
-        self.G_Q, self.G_P = grid_responses(design, grid)
+        self.G_Q, self.G_P = design.responses(grid.sin_aoa, grid.sin_aod)
         self.m = self.G_Q.shape[0] * self.G_P.shape[0]
         self.shape = (design.t * self.m, grid.size * design.n_users)
 

@@ -21,7 +21,6 @@ from cpchan.sparse_solver import (
     as_operator,
     build_dictionary,
     fista,
-    grid_responses,
     soft_threshold,
     top_singular_value,
     universal_lambda,
@@ -188,7 +187,7 @@ class TestOperators:
     def test_grid_responses_shapes(self):
         design = small_design(seed=10)
         grid = AngleGrid(14, 11)
-        G_Q, G_P = grid_responses(design, grid)
+        G_Q, G_P = design.responses(grid.sin_aoa, grid.sin_aod)
         assert G_Q.shape == (design.m_bs, 14)
         assert G_P.shape == (design.t_prime, 11)
 

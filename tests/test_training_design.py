@@ -262,6 +262,41 @@ class TestCheckUniqueness:
             assert rep.regime == "single_path"
             assert rep.passed
 
+    def test_user_count_mismatch_raises(self):
+        # a 2-user channel against a 4-pilot design used to PASS with k(S) = 4
+        rng = np.random.default_rng(16)
+        ch = sample_channel(rng, 2, (1, 1), 16, 8)
+        d = build_design(rng, 16, 8, 6, 6, 4, (1, 1, 1, 1))
+        with pytest.raises(ValueError, match=r"2 users but the design has 4 pilot columns"):
+            check_uniqueness(d, ch)
+
+    @pytest.mark.parametrize("check", [check_uniqueness, lambda d, ch: ideal_factors(ch, d)])
+    @pytest.mark.parametrize("n_bs, n_ms, match", [
+        (32, 8, r"16 BS antennas but the design has 32 rows of Q"),
+        (16, 4, r"8 MS antennas but the design has 4 rows of P")])
+    def test_array_size_mismatch_raises(self, check, n_bs, n_ms, match):
+        rng = np.random.default_rng(17)
+        ch = sample_channel(rng, 2, (1, 2), 16, 8)
+        d = build_design(rng, n_bs, n_ms, 6, 6, 2, (1, 2))
+        with pytest.raises(ValueError, match=match):
+            check(d, ch)
+
+    @pytest.mark.parametrize("users, m_bs, t_prime, t", [
+        (8, 16, 16, 4), (3, 3, 3, 2), (4, 16, 16, 4), (4, 2, 2, 2), (5, 2, 2, 5)])
+    def test_single_path_verdict_is_the_kruskal_sum(self, users, m_bs, t_prime, t):
+        # the partitioned computation on unit blocks decides single-path
+        # scenes by k(A_Q) + k(A_P) + k(S) >= 2U + 2 alone
+        rng = np.random.default_rng(18)
+        paths = (1,) * users
+        ch = sample_channel(rng, users, paths, 16, 8)
+        d = build_design(rng, 16, 8, m_bs, t_prime, t, paths)
+        A_Q, A_P, _ = ideal_factors(ch, d)
+        rep = check_uniqueness(d, ch)
+        assert rep.regime == "single_path"
+        assert rep.passed == (krank(A_Q) + krank(A_P) + krank(d.S) >= 2 * users + 2)
+        assert rep.passed == (m_bs >= 3)    # the first three scenes pass, the last two fail
+        assert rep.dimension_ok == (m_bs * t_prime >= users)
+
     def test_krank_of_projected_steering_is_user_count(self):
         # random constant-modulus combining preserves generic independence
         rng = np.random.default_rng(14)
