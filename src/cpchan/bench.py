@@ -98,10 +98,12 @@ class ExperimentConfig:
             raise ValueError(f"snr_db must be null or a finite number, got {self.snr_db!r}")
         if self.sweep_variable is not None and not self.sweep_values:
             raise ValueError("sweep_values must be nonempty when sweeping")
+        if self.sweep_variable is None and self.sweep_values:
+            raise ValueError(f"sweep_values {self.sweep_values!r} given with no sweep_variable")
         if self.sweep_variable not in (None, "snr_db", "t", "m_bs", "t_prime"):
             raise ValueError(f"unknown sweep variable {self.sweep_variable}")
         snr = self.sweep_variable == "snr_db"
-        for v in self.sweep_values if self.sweep_variable else ():
+        for v in self.sweep_values:
             if not (_is_finite_real(v) if snr else _is_count(v)):
                 kind = "finite numbers" if snr else "positive integers"
                 raise ValueError(f"sweep_values for {self.sweep_variable} must be "
@@ -114,6 +116,13 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(KNOWN_METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        # a repeat would run its trials twice and count them twice; sweep
+        # values compare as at_point pins them
+        pinned = [float(v) if snr else int(v) for v in self.sweep_values]
+        for key, values in (("methods", self.methods), ("sweep_values", pinned)):
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise ValueError(f"{key} repeats {repeats[0]!r}")
 
     @property
     def n_users(self) -> int:

@@ -39,10 +39,9 @@ def ideal_factors(channel: GeometricChannel, design: TrainingDesign):
     """Noiseless CP factors (A_Q, A_P, S_L) of the received tensor; column l of
     S_L copies the pilot column of the user that owns path l."""
     check_channel_fits(design, channel)
-    gains, sin_aoa, sin_aod = channel.path_arrays()
-    A_Q, A_P = design.responses(sin_aoa, sin_aod)
+    A_Q, A_P = design.responses(channel.sin_aoa, channel.sin_aod)
     S_L = design.S[:, np.repeat(np.arange(channel.n_users), channel.paths_per_user)]
-    return A_Q * gains[None, :], A_P, S_L
+    return A_Q * channel.gains[None, :], A_P, S_L
 
 
 def noiseless_tensor(channel: GeometricChannel, design: TrainingDesign) -> ComplexTensor3:

@@ -287,8 +287,7 @@ def check_uniqueness(design: TrainingDesign, channel) -> UniquenessReport:
     m_bs * t_prime >= sum L_u^2 and k'(A_Q) + k'(A_P) + k(S) >= 2U + 2, with
     the partition ranks k' taken over per-user column blocks."""
     check_channel_fits(design, channel)
-    _, sin_aoa, sin_aod = channel.path_arrays()
-    A_Q, A_P = design.responses(sin_aoa, sin_aod)
+    A_Q, A_P = design.responses(channel.sin_aoa, channel.sin_aod)
     ppu = channel.paths_per_user
     k_s = krank(design.S)
     k_aq, k_ap = krank_partitioned(A_Q, ppu), krank_partitioned(A_P, ppu)

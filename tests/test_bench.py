@@ -75,6 +75,23 @@ class TestConfig:
         cfg = config_from_dict({**TINY, "sweep_variable": "t", "sweep_values": [2, 3]})
         assert cfg.sweep_values == (2, 3)
 
+    @pytest.mark.parametrize("extra, repeated", [
+        (dict(methods=("cs_grid1", "cs_grid2", "cs_grid1")), r"methods repeats 'cs_grid1'"),
+        (dict(sweep_variable="snr_db", sweep_values=(10.0, 20.0, 20.0)),
+         r"sweep_values repeats 20\.0"),
+        # compared as the sweep pins them: 20 and 20.0 are one SNR point
+        (dict(sweep_variable="snr_db", sweep_values=(20, 20.0)), r"sweep_values repeats 20\.0"),
+        (dict(sweep_variable="m_bs", sweep_values=(6, 8.0, 8)), r"sweep_values repeats 8$")])
+    def test_repeated_entry_is_named(self, extra, repeated):
+        # a repeat would run the same trials twice and count them twice in
+        # the point's summary
+        with pytest.raises(ValueError, match=repeated):
+            ExperimentConfig(**TINY, **extra)
+
+    def test_sweep_values_need_a_sweep_variable(self):
+        with pytest.raises(ValueError, match=r"sweep_values \(10\.0, 20\.0\) .*no sweep_variable"):
+            config_from_dict({**TINY, "sweep_values": [10.0, 20.0]})
+
     def test_n_users_is_not_a_key(self):
         # the user count is read off paths_per_user, never stated twice
         assert ExperimentConfig(**TINY).n_users == 2
@@ -339,7 +356,10 @@ class TestCheckUniquenessCli:
         assert cli.main(["check-uniqueness", str(path)]) == 0
         assert len(seen) == len(evaluated) == 2
         for (d_cli, ch_cli), (d_run, ch_run) in zip(seen, evaluated):
-            assert ch_cli == ch_run
+            for name in ("paths_per_user", "n_bs", "n_ms"):
+                assert getattr(ch_cli, name) == getattr(ch_run, name)
+            for name in ("gains", "sin_aoa", "sin_aod"):
+                np.testing.assert_array_equal(getattr(ch_cli, name), getattr(ch_run, name))
             for name in ("P", "Q", "S"):
                 np.testing.assert_array_equal(getattr(d_cli, name), getattr(d_run, name))
         out = capsys.readouterr().out.splitlines()

@@ -114,9 +114,9 @@ class TestChannelFromGrid:
         k = j * grid.n_aoa + i
         g = 1.5 - 0.5j
         H = channel_from_grid(np.array([k]), np.array([g]), grid, n_bs=16, n_ms=8)
-        a = steering_from_sin(grid.sin_aoa[i], 16)
-        b = steering_from_sin(grid.sin_aod[j], 8)
-        np.testing.assert_allclose(H, g * np.outer(a, b), rtol=1e-12)
+        a = steering_from_sin(grid.sin_aoa[[i]], 16)
+        b = steering_from_sin(grid.sin_aod[[j]], 8)
+        np.testing.assert_allclose(H, g * a @ b.T, rtol=1e-12)
 
     def test_empty_support_gives_zero(self):
         H = channel_from_grid(np.array([], dtype=int), np.array([]),
@@ -124,18 +124,18 @@ class TestChannelFromGrid:
         np.testing.assert_array_equal(H, 0)
 
     def test_on_grid_channel_matches_assemble_bitwise(self):
-        # only grid points whose sine survives the round trip through the
-        # path's angle, so that both sides sum the same steering vectors
+        # an on-grid channel sums the grid's own steering vectors
         grid = AngleGrid(32, 16)
-        exact = [v[np.sin(np.arcsin(v) % (2 * np.pi)) == v] for v in (grid.sin_aoa, grid.sin_aod)]
-        channel = sample_channel_on_grid(np.random.default_rng(4), (2, 3), 16, 8, *exact)
-        gains, sin_aoa, sin_aod = channel.path_arrays()
-        aoa, aod = np.searchsorted(grid.sin_aoa, sin_aoa), np.searchsorted(grid.sin_aod, sin_aod)
-        np.testing.assert_array_equal(grid.sin_aoa[aoa], sin_aoa)
-        np.testing.assert_array_equal(grid.sin_aod[aod], sin_aod)
+        channel = sample_channel_on_grid(
+            np.random.default_rng(4), (2, 3), 16, 8, grid.sin_aoa, grid.sin_aod)
+        aoa = np.searchsorted(grid.sin_aoa, channel.sin_aoa)
+        aod = np.searchsorted(grid.sin_aod, channel.sin_aod)
+        np.testing.assert_array_equal(grid.sin_aoa[aoa], channel.sin_aoa)
+        np.testing.assert_array_equal(grid.sin_aod[aod], channel.sin_aod)
         support = aod * grid.n_aoa + aoa
         for own, H in zip((slice(0, 2), slice(2, 5)), assemble_all(channel)):
-            assert np.array_equal(channel_from_grid(support[own], gains[own], grid, 16, 8), H)
+            assert np.array_equal(
+                channel_from_grid(support[own], channel.gains[own], grid, 16, 8), H)
 
     def test_gain_count_must_match_the_support(self):
         # one gain short used to drop the last atom without a word
@@ -393,10 +393,7 @@ class TestEstimateAll:
         channel, design = on_grid_scene(11, (1, 1, 1), 32, 16, 10, 10, 3, grid)
         cfg = PipelineConfig(grid=grid, als=AlsConfig(max_iters=500, tol=1e-10), known_rank=3)
         for c in (1e-4, 3e3j):
-            scaled = type(channel)(
-                tuple(tuple(dataclasses.replace(p, gain=c * p.gain) for p in paths)
-                      for paths in channel.users),
-                channel.n_bs, channel.n_ms)
+            scaled = dataclasses.replace(channel, gains=c * channel.gains)
             res = estimate_all(simulate(scaled, design, None), design, cfg, scaled)
             assert res.nmse_total < 1e-6
 

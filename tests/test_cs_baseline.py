@@ -200,11 +200,11 @@ class TestAssembleProblem:
         prob = assemble_problem(meas, design, grid)
         # build the true coefficient vector from the paths
         d = np.zeros(prob.operator.shape[1], dtype=np.complex128)
-        for u, paths in enumerate(channel.users):
-            for p in paths:
-                i = int(np.argmin(np.abs(grid.sin_aoa - np.sin(p.aoa))))
-                j = int(np.argmin(np.abs(grid.sin_aod - np.sin(p.aod))))
-                d[u * grid.size + j * grid.n_aoa + i] = p.gain
+        users = np.repeat(np.arange(channel.n_users), channel.paths_per_user)
+        for u, g, s_aoa, s_aod in zip(users, channel.gains, channel.sin_aoa, channel.sin_aod):
+            i = int(np.argmin(np.abs(grid.sin_aoa - s_aoa)))
+            j = int(np.argmin(np.abs(grid.sin_aod - s_aod)))
+            d[u * grid.size + j * grid.n_aoa + i] = g
         # path gains on the physical atoms are gain * atom norm on the unit ones
         np.testing.assert_allclose(prob.operator.matvec(d * prob.operator.atom_norms()), prob.y,
                                    rtol=1e-9, atol=1e-12)

@@ -1,5 +1,7 @@
 """Layered-pilot measurement simulation: tensor model and SNR."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -119,12 +121,7 @@ class TestNoise:
         assert noise_std_per_entry(simulate(channel, design, None)) == 0.0
 
     def test_zero_signal_raises(self):
-        from cpchan.channel_sim import GeometricChannel, PathParams
-
         channel, design = small_scene(seed=8)
-        zero = GeometricChannel(
-            tuple(tuple(PathParams(0j, p.aoa, p.aod) for p in paths)
-                  for paths in channel.users),
-            channel.n_bs, channel.n_ms)
+        zero = dataclasses.replace(channel, gains=np.zeros(channel.total_paths))
         with pytest.raises(ValueError, match="all-zero signal"):
             simulate(zero, design, 10.0)
