@@ -12,9 +12,12 @@ host's speed falls on both sides alike.  Each run lasts BENCHMARK.json's
 then prints each side's median and quartiles (``statistics.quantiles(values,
 n=4)``), the change of the median, the number of pairs the change won (by the
 metric's ``better`` direction; a tie is no win) and whether the medians lie
-further apart than the base's interquartile range.  ``--records`` names a JSON
-file that holds every run's record from ``.perfbench_out/``, rewritten after
-each run.  A run that fails stops the script with exit code 1; the file then
+further apart than the base's interquartile range.  After each pair, and in
+total, it compares the estimates op for op over the op indices both runs
+reached: how many ops have identical estimates (NMSE and counts), the largest
+relative NMSE difference, and the ops whose ``rank`` differs.  ``--records``
+names a JSON file that holds every run's record from ``.perfbench_out/``,
+rewritten after each run.  A run that fails stops the script with exit code 1; the file then
 ends with an entry naming the failing side, its pair and its exit code (None
 after a timeout).  A checkout is any directory holding the repository, e.g. a
 ``git worktree`` of the parent.
@@ -52,6 +55,36 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def op_estimates(record: dict) -> dict[int, list[tuple]]:
+    """Per op index, its estimates as (method, SNR, NMSE, counts)."""
+    return {op["index"]: [(e["method"], e["snr_db"], e["nmse"], e["counts"])
+                          for e in op["estimates"]] for op in record["ops"]}
+
+
+def compare_ops(base: dict, change: dict) -> dict:
+    """Op-for-op comparison of two run records over the op indices both ran."""
+    b, c = op_estimates(base), op_estimates(change)
+    common = sorted(b.keys() & c.keys())
+    out = {"ops": len(common), "identical": 0, "max_rel_nmse": 0.0, "rank_differs": []}
+    for i in common:
+        out["identical"] += b[i] == c[i]
+        if len(b[i]) != len(c[i]):
+            out["max_rel_nmse"] = float("inf")
+        for (_, _, nb, kb), (_, _, nc, kc) in zip(b[i], c[i]):
+            if nb != nc:
+                rel = abs(nc - nb) / abs(nb) if nb and nc is not None else float("inf")
+                out["max_rel_nmse"] = max(out["max_rel_nmse"], rel)
+            if kb.get("rank") != kc.get("rank") and i not in out["rank_differs"]:
+                out["rank_differs"].append(i)
+    return out
+
+
+def format_comparison(cmp: dict, where: str = "ops") -> str:
+    return (f"{cmp['identical']}/{cmp['ops']} ops identical, largest relative NMSE "
+            f"difference {cmp['max_rel_nmse']:.3g}, rank differs on {where} "
+            f"{cmp['rank_differs']}")
+
+
 def report(spec: dict, values: dict[str, dict[str, list[float]]]) -> None:
     for m in spec["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
@@ -84,8 +117,10 @@ def main(argv=None) -> int:
            "--seconds", str(seconds), "--trace", "0"]
     values = {side: {m["name"]: [] for m in spec["end_to_end"]} for side in SIDES}
     runs = []
+    total = {"ops": 0, "identical": 0, "max_rel_nmse": 0.0, "rank_differs": []}
     for pair in range(1, args.pairs + 1):
         order = SIDES if pair % 2 else SIDES[::-1]
+        records = {}
         for side in order:
             run = {"side": side, "workload": args.workload, "seed": args.seed,
                    "pair": pair, "sequence": len(runs)}
@@ -100,12 +135,19 @@ def main(argv=None) -> int:
                 return 1
             runs.append({**run, "record": record})
             save_records(args.records, runs)
+            records[side] = record
             for name, vals in values[side].items():
                 vals.append(record["metrics"][name]["value"])
+        cmp = compare_ops(records["base"], records["change"])
+        total["ops"] += cmp["ops"]
+        total["identical"] += cmp["identical"]
+        total["max_rel_nmse"] = max(total["max_rel_nmse"], cmp["max_rel_nmse"])
+        total["rank_differs"] += [(pair, i) for i in cmp["rank_differs"]]
         print(f"pair {pair}: " + "  ".join(
-            f"{side} latency_s.p50={values[side]['latency_s.p50'][-1]:.4f}" for side in SIDES),
-            flush=True)
+            f"{side} latency_s.p50={values[side]['latency_s.p50'][-1]:.4f}" for side in SIDES)
+            + f"  {format_comparison(cmp)}", flush=True)
     report(spec, values)
+    print("estimates over all pairs: " + format_comparison(total, "(pair, op)"))
     return 0
 
 

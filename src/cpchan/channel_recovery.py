@@ -69,13 +69,18 @@ class EstimationResult:
 
 
 def resolve_ambiguity(S_hat: np.ndarray, S: np.ndarray) -> AmbiguityResolution:
-    """Assign each estimated pilot column to its best-correlated user."""
+    """Assign each estimated pilot column to its best-correlated user.
+
+    A zero column correlates with no user, so it raises a ValueError."""
     S_hat = np.asarray(S_hat, dtype=np.complex128)
     S = np.asarray(S, dtype=np.complex128)
     if S_hat.ndim != 2 or S_hat.shape[1] < 1:
         raise ValueError("need at least one estimated component")
     if S_hat.shape[0] != S.shape[0]:
         raise ValueError("pilot length mismatch")
+    zero = np.flatnonzero(~np.any(S_hat, axis=0))
+    if zero.size:
+        raise ValueError(f"estimated pilot column {int(zero[0])} is all zero")
     u_count = S.shape[1]
     s_norms = np.linalg.norm(S, axis=0)
     # corr[u, l] = |<s_hat_l, s_u>| / (||s_hat_l|| ||s_u||)
@@ -287,12 +292,14 @@ def estimate_all(
         res = cp_als.als_known_rank(Y, cfg.known_rank, cfg.als)
     else:
         res = cp_als.als_regularized(Y, cfg.als)
-    resolution = resolve_ambiguity(res.factors.C, design.S)
+    # a component with a zero pilot-mode column adds nothing to any channel
+    live = np.any(res.factors.C, axis=0)
+    resolution = resolve_ambiguity(res.factors.C[:, live], design.S)
 
     # with the assignment fixed, the pilot-mode columns are known exactly;
     # polishing the spatial factors against them removes pilot-mode noise
     A_snap, B_snap = pilot_constrained_polish(
-        Y, design.S[:, resolution.assignment], res.factors.B, SNAP_SWEEPS)
+        Y, design.S[:, resolution.assignment], res.factors.B[:, live], SNAP_SWEEPS)
 
     assigned = [resolution.assignment == u for u in range(design.n_users)]
     Z = np.stack(
@@ -313,5 +320,6 @@ def estimate_all(
         diagnostics={
             "als_converged": res.converged,
             "solver_converged": solver_converged,
+            "dead_components": int(live.size - np.count_nonzero(live)),
         },
     )

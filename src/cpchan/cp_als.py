@@ -23,6 +23,31 @@ its R x R normal equations from the factor Grams kept across the sweep
 Y_(3)^T - kr(B, A) C^T, reusing the product the C update formed; only each
 run's first objective composes the dense tensor.
 
+A sweep never updates a component that an earlier sweep zeroed.  The ridge
+drives the rank-estimating stage's surplus components to exactly zero (on
+table1, about half of its 26 by sweep 40-100).  A component whose C column is
+all zero has zero rows and columns in every Hadamard Gram and a zero
+right-hand side, so it stays zero and leaves the others' updates unchanged in
+exact arithmetic.  The sweeps drop its columns, and the returned factors hold
+zero columns in its place, so callers see the stage's shape.  RIDGE_FLOOR's
+shift divides the Gram's trace by the stage's component count, dropped ones
+included, so the live components keep the full sweep's arithmetic.
+
+The ridge stage of :func:`als_regularized` also takes doubled steps, a line
+search extrapolation with its step fixed at 2 (Bro 1998; Rajih, Comon &
+Harshman 2008).  Once a component has been dropped and a sweep moves the
+factors by less than EXTRAPOLATE_BELOW, the sweep is followed by
+X + (X - X_prev) on all three factors.  The step is kept only when it lowers
+the ridge objective, whose fit comes from the mode-3 residual, so each check
+costs one more Khatri-Rao product.  On table1 this cuts the stage's sweeps by
+about 40% and leaves every rank as it was.  Doubled steps from the first
+dropped component on, or longer steps, changed the rank of some inputs.  No
+other stage extrapolates.  The known-rank warm-up stops at WARMUP_ITERS
+sweeps, so its end point depends on its path, and doubled steps there moved
+the known-rank estimates.  The exact-LS stages (the polish and the known-rank
+main stage) run to their sweep cap either way, so doubled steps there only
+cost time.
+
 Both entry points own the tensor's scale: each divides Y by its Frobenius
 norm once, runs every stage on that unit-norm copy (the ridge weight MU is
 calibrated to unit signal energy, so the rank estimate does not depend on the
@@ -34,8 +59,9 @@ AlsConfig.seed.  Starts are deliberately not picked by objective: under the
 ridge penalty a fit that merges two paths into one component costs less, so
 the lowest objective under-counts the rank.  Both entry points record
 an objective trace on the unit-norm copy (fit, plus the trace penalty for the
-ridge stage) that is non-increasing by construction since every update is an
-exact minimizer of its subproblem.
+ridge stage) that is non-increasing by construction: every update is an
+exact minimizer of its subproblem, and a doubled step is kept only when it
+lowers the objective.
 """
 
 from __future__ import annotations
@@ -50,6 +76,10 @@ RIDGE_FLOOR = 1e-12        # relative floor on the Gram diagonal for numerical s
 WARMUP_ITERS = 200         # ridge warm-up sweep budget for the known-rank solver
 MU = 3e-3                  # ridge weight on unit-norm data; stable range [1e-3, 1e-2]
 PRUNE_THRESHOLD = 1e-2     # drop components below this share of the largest energy
+# the ridge stage's doubled steps start once a sweep moves the factors by less
+# than this share; earlier, while components are still sorting, they can carry
+# a weak component into another basin and change the rank
+EXTRAPOLATE_BELOW = 1e-2
 
 
 @dataclass(frozen=True)
@@ -99,10 +129,36 @@ def _gram(M: np.ndarray) -> np.ndarray:
     return M.conj().T @ M
 
 
-def _ridge_solve(G, V, Yn_T, mu: float, eye) -> np.ndarray:
-    """Solve min_F ||Yn_T - V F^T||^2 + mu ||F||^2, given G = V^H V."""
-    scale = max(np.trace(G).real / G.shape[0], 1e-300)
+def _ridge_solve(G, V, Yn_T, mu: float, eye, n_components: int) -> np.ndarray:
+    """Solve min_F ||Yn_T - V F^T||^2 + mu ||F||^2, given G = V^H V.
+
+    The floor's scale is the Gram's trace over the stage's component count,
+    dropped components included: they add nothing to the trace."""
+    scale = max(np.trace(G).real / n_components, 1e-300)
     return np.linalg.solve(G + (mu + RIDGE_FLOOR * scale) * eye, V.conj().T @ Yn_T).T
+
+
+def _sweep_objective(Y3t, V3, C, grams, mu: float) -> float:
+    """Fit from the mode-3 residual Y_(3)^T - kr(B, A) C^T, with V3 = kr(B, A),
+    plus the ridge penalty from the traces of the factor Grams."""
+    obj = np.linalg.norm(Y3t - V3 @ C.T) ** 2
+    if mu > 0:
+        obj += mu * sum(np.trace(G).real for G in grams)
+    return float(obj)
+
+
+def _doubled_step(Y3t, mu: float, factors, prev):
+    """X + (X - X_prev) on all three factors, with its objective and Grams."""
+    A, B, C = (M + (M - Mp) for M, Mp in zip(factors, prev))
+    grams = [_gram(M) for M in (A, B, C)]
+    return (A, B, C), grams, _sweep_objective(Y3t, khatri_rao(B, A), C, grams, mu)
+
+
+def _with_dead_columns(M: np.ndarray, live: np.ndarray, rank: int) -> np.ndarray:
+    """M's columns at positions ``live`` of a rank-column matrix, zero elsewhere."""
+    out = np.zeros((M.shape[0], rank), dtype=M.dtype)
+    out[:, live] = M
+    return out
 
 
 def _als_core(
@@ -111,7 +167,17 @@ def _als_core(
     cfg: AlsConfig,
     mu: float,
     init: FactorTriple | None = None,
+    extrapolate: bool = False,
 ) -> CpResult:
+    """ALS sweeps from ``init`` (or the seeded random start) until the factors
+    move by less than cfg.tol or cfg.max_iters sweeps have run.
+
+    A component whose C column is all zero at the start of a sweep is dropped
+    from the sweeps; the returned factors hold zero columns in its place.
+    With ``extrapolate``, once a component has been dropped, each unconverged
+    sweep that moved the factors by less than EXTRAPOLATE_BELOW is followed
+    by the doubled step X + (X - X_prev), kept only when it lowers the
+    objective."""
     Y1t = unfold(Y, 1).T
     Y2t = unfold(Y, 2).T
     Y3t = unfold(Y, 3).T
@@ -120,31 +186,51 @@ def _als_core(
     else:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
         A, B, C = _init_factors(rng, Y.dims, rank)
+    live = np.arange(rank)     # the stage's components still swept
     eye = np.eye(rank)
     GB, GC = _gram(B), _gram(C)
     trace = [_objective(Y, A, B, C, mu)]
     converged = False
     it = 0
     for it in range(1, cfg.max_iters + 1):
+        zero = ~np.any(C, axis=0)
+        if np.any(zero):
+            # its rows and columns of every Hadamard Gram and its right-hand
+            # sides are zero, so it stays zero and the others do not see it
+            keep = ~zero
+            live = live[keep]
+            A, B, C = A[:, keep], B[:, keep], C[:, keep]
+            GB, GC = GB[np.ix_(keep, keep)], GC[np.ix_(keep, keep)]
+            eye = np.eye(live.size)
+            if live.size == 0:
+                # the next sweep would return the zero factors unchanged
+                trace.append(float(np.linalg.norm(Y3t) ** 2))
+                converged = True
+                break
         prev = (A, B, C)
         # kr(C, B)^H kr(C, B) = (C^H C) * (B^H B), and cyclically
-        A = _ridge_solve(GC * GB, khatri_rao(C, B), Y1t, mu, eye)
+        A = _ridge_solve(GC * GB, khatri_rao(C, B), Y1t, mu, eye, rank)
         GA = _gram(A)
-        B = _ridge_solve(GC * GA, khatri_rao(C, A), Y2t, mu, eye)
+        B = _ridge_solve(GC * GA, khatri_rao(C, A), Y2t, mu, eye, rank)
         GB = _gram(B)
         V3 = khatri_rao(B, A)
-        C = _ridge_solve(GB * GA, V3, Y3t, mu, eye)
+        C = _ridge_solve(GB * GA, V3, Y3t, mu, eye, rank)
         GC = _gram(C)
-        # mode-3 residual Y_(3)^T - kr(B, A) C^T, reusing the C update's product
-        obj = np.linalg.norm(Y3t - V3 @ C.T) ** 2
-        if mu > 0:
-            obj += mu * (np.trace(GA).real + np.trace(GB).real + np.trace(GC).real)
-        trace.append(float(obj))
+        # the mode-3 residual reuses the C update's product
+        obj = _sweep_objective(Y3t, V3, C, (GA, GB, GC), mu)
         num = sum(np.linalg.norm(M - Mp) for M, Mp in zip((A, B, C), prev))
         den = sum(np.linalg.norm(M) for M in prev) + 1e-30
-        if num / den < cfg.tol:
-            converged = True
+        change = num / den
+        converged = change < cfg.tol
+        if extrapolate and live.size < rank and cfg.tol <= change < EXTRAPOLATE_BELOW:
+            step, grams, step_obj = _doubled_step(Y3t, mu, (A, B, C), prev)
+            if step_obj < obj:
+                (A, B, C), (_, GB, GC), obj = step, grams, step_obj
+        trace.append(obj)
+        if converged:
             break
+    if live.size < rank:
+        A, B, C = (_with_dead_columns(M, live, rank) for M in (A, B, C))
     return CpResult(
         factors=FactorTriple(A, B, C),
         iterations=it,
@@ -267,7 +353,7 @@ def als_regularized(Y: ComplexTensor3, cfg: AlsConfig | None = None) -> CpResult
     """
     cfg = cfg or AlsConfig()
     Yn, scale = _unit_norm(Y)
-    res = _als_core(Yn, cfg.k_upper, cfg, mu=MU)
+    res = _als_core(Yn, cfg.k_upper, cfg, mu=MU, extrapolate=True)
     pruned, keep = prune_components(res.factors, PRUNE_THRESHOLD)
     rank = int(np.sum(keep))
     polish = _als_core(Yn, rank, cfg, mu=0.0, init=pruned)

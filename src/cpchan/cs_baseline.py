@@ -67,6 +67,10 @@ class PilotKronOperator:
         Zt = y.reshape(self.S.shape[0], -1)
         return self.grid_op.rmatvec((self._S_H @ Zt).ravel())
 
+    def kron_factors(self) -> tuple[np.ndarray, ...]:
+        """(S, G_P, G_Q), the unit-column factors of S kron Phi."""
+        return (self.S, *self.grid_op.kron_factors())
+
     def atom_norms(self) -> np.ndarray:
         """Per-column norms of the physical atoms kron(s_u, Phi_k)."""
         return self.grid_op.atom_norms() * np.repeat(self._s_norms, self.grid_op.grid.size)

@@ -9,6 +9,15 @@ L = 2 * sigma_max(A)^2, the proximal step is complex soft-thresholding with
 threshold lam / L (magnitude shrink, phase preserved), so for A = I the fixed
 point is x = soft(y, lam / 2).
 
+FISTA's default step is 1 / L.  ``top_singular_value`` takes sigma_max(A)
+exactly for an operator that exposes ``kron_factors()``, as the grid
+dictionary operators do: the singular values of a Kronecker product are the
+products of its factors' singular values, so sigma_max is the product of the
+factors' largest, each from the eigenvalues of the Gram of the factor's
+shorter side (at most 16 x 16 at table1).  Any other operator,
+``MatrixOperator`` included, gets 60 steps of power iteration, which approach
+sigma_max from below (by up to 0.2% on the table1 grid operators).
+
 After the first iterations the iterate keeps well under 1% of its
 coefficients, so ``fista`` tracks supports: once at most n / 16 entries pass
 the threshold test, the soft threshold, the iterate and momentum updates and
@@ -24,8 +33,8 @@ indices outside which ``x`` is zero.  ``fista`` passes it in its
 support-tracking phase only (the power iteration and the dense phase pass
 none); an operator may use it to run the product over those columns alone,
 or ignore it, as ``MatrixOperator`` does.  An operator may also expose
-``rmatvec(y, out=None)`` and ``screened_rmatvec``, as the grid dictionary
-does.  The one AoA/AoD grid dictionary operator, ``StackedGridOperator``,
+``rmatvec(y, out=None)``, ``screened_rmatvec`` and ``kron_factors``, as the
+grid dictionary does.  The one AoA/AoD grid dictionary operator, ``StackedGridOperator``,
 lives here too: it applies the dictionary matrix-free through its Kronecker
 factors, batched over users, so the big dictionaries are never
 materialized, and it uses the hint once the support holds at most
@@ -72,8 +81,20 @@ def as_operator(A):
     return A if hasattr(A, "matvec") else MatrixOperator(A)
 
 
+def _largest_singular_value(F: np.ndarray) -> float:
+    """sigma_max of a small dense matrix, from the Gram of its shorter side."""
+    G = F @ F.conj().T if F.shape[0] <= F.shape[1] else F.conj().T @ F
+    return float(np.sqrt(np.linalg.eigvalsh(G)[-1]))
+
+
 def top_singular_value(op, n_iters: int = 60, seed: int = 0) -> float:
-    """Power iteration on A^H A; deterministic under the fixed seed."""
+    """sigma_max of ``op``: exact for an operator that exposes ``kron_factors()``,
+    otherwise from ``n_iters`` steps of power iteration on A^H A, which is
+    deterministic under the fixed seed and approaches sigma_max from below."""
+    if hasattr(op, "kron_factors"):
+        # the singular values of a Kronecker product are the products of its
+        # factors' singular values, so sigma_max is the product of theirs
+        return float(np.prod([_largest_singular_value(F) for F in op.kron_factors()]))
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
     x /= np.linalg.norm(x)
@@ -106,7 +127,7 @@ class FistaConfig:
     lam: float = 1e-3
     max_iters: int = 2000
     tol: float = 1e-8          # relative objective change
-    step: float | None = None  # None -> 1 / (2 sigma_max^2) via power iteration
+    step: float | None = None  # None -> 1 / (2 sigma_max^2), top_singular_value
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -498,6 +519,11 @@ class StackedGridOperator:
             rows = np.array([0, rows[0]] if rows[0] else [0, 1])
         block = out[:rows.size * width].reshape(rows.size, width)
         return rows, np.matmul(W[rows], self._G_Qc, out=block)
+
+    def kron_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G_P, G_Q), the unit-column factors: the operator is
+        I_{n_rhs} kron G_P kron G_Q, so it has their singular values' products."""
+        return self.G_P, self.G_Q
 
     def atom_norms(self) -> np.ndarray:
         """Per-column norms of the physical atoms kron(P^T a_ms, Q^T a_bs)."""

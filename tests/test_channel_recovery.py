@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpchan import channel_recovery
+from cpchan import bench, channel_recovery
 from cpchan.channel_recovery import (
     PipelineConfig,
     channel_from_grid,
@@ -63,6 +63,14 @@ class TestResolveAmbiguity:
         S = pilot_matrix(rng, t=5, u=3)
         res = resolve_ambiguity(S[:, [0, 0]], S)
         assert res.empty_users == (1, 2)
+
+    def test_zero_column_is_named(self):
+        # it correlates with no user; argmax would hand it to user 0
+        S = pilot_matrix(np.random.default_rng(2), t=4, u=3)
+        S_hat = S[:, [1, 0, 2]]
+        S_hat[:, 1] = 0.0
+        with pytest.raises(ValueError, match="column 1 is all zero"):
+            resolve_ambiguity(S_hat, S)
 
     def test_input_validation(self):
         S = np.eye(4, dtype=complex)
@@ -396,6 +404,22 @@ class TestEstimateAll:
             scaled = dataclasses.replace(channel, gains=c * channel.gains)
             res = estimate_all(simulate(scaled, design, None), design, cfg, scaled)
             assert res.nmse_total < 1e-6
+
+    @pytest.mark.parametrize("trial", [0, 1, 2])
+    def test_zeroed_components_go_to_no_user(self, trial):
+        # at 30 dB the known-rank ALS zeroes 2 of the pinned table1 scene's
+        # 13 components; they used to count as paths of user 0
+        cfg = dataclasses.replace(
+            bench.ExperimentConfig(seed=0, fixed_realization=True), snr_db=30.0)
+        pcfg, channel, design, rng_noise, rng_als = bench.draw_scene(cfg, 0, trial)
+        als = AlsConfig(seed=int(rng_als.integers(2**31)))
+        meas = simulate(channel, design, pcfg.snr_db, rng_noise)
+        res = estimate_all(meas, design, PipelineConfig(als=als, known_rank=13), channel)
+        dead = res.diagnostics["dead_components"]
+        assert dead == 2
+        assert res.resolution.paths_per_user.sum() == 13 - dead
+        assert res.resolution.paths_per_user[0] == channel.paths_per_user[0] == 1
+        assert res.resolution.match_scores.size == 13 - dead
 
     def test_zero_tensor_raises(self):
         rng = np.random.default_rng(13)

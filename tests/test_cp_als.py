@@ -1,11 +1,13 @@
 """Alternating least squares CP fitting: exact recovery, traces, rank estimation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpchan import cp_als
+from cpchan import bench, cp_als
 from cpchan.cp_als import (
     MU,
     RIDGE_FLOOR,
@@ -19,6 +21,7 @@ from cpchan.cp_als import (
     component_energies,
     prune_components,
 )
+from cpchan.measurement import simulate
 from cpchan.tensor_core import (
     ComplexTensor3,
     FactorTriple,
@@ -298,3 +301,132 @@ class TestRegularized:
     def test_zero_tensor_raises(self):
         with pytest.raises(ValueError):
             als_regularized(ComplexTensor3(np.zeros((3, 3, 3), complex)))
+
+
+def table1_tensor(snr_db, trial):
+    """The pinned table1 measurement tensor (16x16x4, 13 paths) of one trial,
+    and its ALS seed, as bench.run_trial draws them."""
+    cfg = replace(bench.ExperimentConfig(seed=0, fixed_realization=True), snr_db=snr_db)
+    pcfg, channel, design, rng_noise, rng_als = bench.draw_scene(cfg, 0, trial)
+    als_seed = int(rng_als.integers(2**31))
+    return simulate(channel, design, pcfg.snr_db, rng_noise).y, als_seed
+
+
+@pytest.fixture
+def doubled_steps(monkeypatch):
+    """Spy: per _als_core call (a stage), its mu and the doubled steps it
+    tried, and the zero C columns of its returned factors."""
+    stages = []
+    core, step = cp_als._als_core, cp_als._doubled_step
+
+    def spy_core(Y, rank, cfg, mu, init=None, **kwargs):
+        stage = {"mu": mu, "tried": 0}
+        stages.append(stage)
+        res = core(Y, rank, cfg, mu, init, **kwargs)
+        stage["zero_columns"] = int(np.sum(~np.any(res.factors.C, axis=0)))
+        return res
+
+    def spy_step(*args):
+        stages[-1]["tried"] += 1
+        return step(*args)
+
+    monkeypatch.setattr(cp_als, "_als_core", spy_core)
+    monkeypatch.setattr(cp_als, "_doubled_step", spy_step)
+    return stages
+
+
+class TestDroppedComponents:
+    """A component whose C column is zero is dropped from the sweeps."""
+
+    DIMS, RANK, DEAD = (8, 7, 4), 4, 2
+
+    def start(self):
+        Y = noisy_tensor(70, self.DIMS, 3)
+        F = random_factors(np.random.default_rng(71), self.DIMS, self.RANK)
+        C = F.C.copy()
+        C[:, self.DEAD] = 0.0
+        live = [k for k in range(self.RANK) if k != self.DEAD]
+        without = FactorTriple(F.A[:, live], F.B[:, live], F.C[:, live])
+        return Y, FactorTriple(F.A, F.B, C), without, live
+
+    @pytest.mark.parametrize("mu", [MU, 0.0])
+    def test_live_components_match_a_sweep_without_it(self, monkeypatch, mu):
+        # the floor's scale counts the stage's components, so only without the
+        # floor is a rank-3 sweep the same arithmetic problem
+        monkeypatch.setattr(cp_als, "RIDGE_FLOOR", 0.0)
+        Y, zeroed, without, live = self.start()
+        cfg = AlsConfig(max_iters=20, tol=1e-300)
+        got = _als_core(Y, self.RANK, cfg, mu, init=zeroed)
+        want = _als_core(Y, self.RANK - 1, cfg, mu, init=without)
+        assert got.iterations == want.iterations == 20
+        for g, w in zip((got.factors.A, got.factors.B, got.factors.C),
+                        (want.factors.A, want.factors.B, want.factors.C)):
+            assert g.shape == (w.shape[0], self.RANK)
+            assert not np.any(g[:, self.DEAD])
+            np.testing.assert_allclose(g[:, live], w, rtol=0, atol=1e-13 * np.abs(w).max())
+        np.testing.assert_allclose(got.objective_trace[1:], want.objective_trace[1:],
+                                   rtol=1e-13)
+
+    @pytest.mark.parametrize("mu", [MU, 0.0])
+    def test_matches_the_reference_sweeping_it(self, mu):
+        # with the floor, the dense reference that keeps sweeping the zero
+        # component is the plain arithmetic
+        Y, zeroed, _, live = self.start()
+        cfg = AlsConfig(max_iters=20, tol=1e-300)
+        got = _als_core(Y, self.RANK, cfg, mu, init=zeroed)
+        F, _, trace = dense_gram_als(Y, zeroed, mu, cfg)
+        for g, w in zip((got.factors.A, got.factors.B, got.factors.C), (F.A, F.B, F.C)):
+            assert not np.any(w[:, self.DEAD]) and not np.any(g[:, self.DEAD])
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-13 * np.abs(w).max())
+        np.testing.assert_allclose(got.objective_trace, trace, rtol=1e-13)
+
+    def test_all_components_zero_converges_at_once(self):
+        Y = noisy_tensor(72, self.DIMS, 2)
+        Z = FactorTriple(*(np.zeros((d, 3), complex) for d in self.DIMS))
+        res = _als_core(Y, 3, AlsConfig(max_iters=50), MU, init=Z)
+        assert (res.iterations, res.converged) == (1, True)
+        assert res.factors.rank == 3 and not np.any(res.factors.C)
+        assert res.objective_trace == [pytest.approx(frobenius_norm(Y) ** 2, rel=1e-12)] * 2
+
+
+class TestDoubledRidgeSteps:
+    """The ridge stage of als_regularized takes doubled steps X + (X - X_prev)
+    once a component is dropped; no other stage does."""
+
+    @pytest.mark.parametrize("snr_db,trial", [(30.0, 0), (25.0, 1)])
+    def test_ridge_trace_never_rises(self, doubled_steps, snr_db, trial):
+        Y, seed = table1_tensor(snr_db, trial)
+        res = als_regularized(Y, AlsConfig(seed=seed))
+        ridge = doubled_steps[0]
+        assert ridge["mu"] == MU and ridge["tried"] > 0
+        trace = np.array(res.objective_trace)
+        assert np.all(np.diff(trace) <= 1e-12 * trace[0])
+
+    def test_only_the_ridge_stage_tries_them(self, doubled_steps):
+        Y, seed = table1_tensor(30.0, 0)
+        als_known_rank(Y, 13, AlsConfig(seed=seed))
+        warmup, exact = doubled_steps
+        # the warm-up zeroed components, so it would extrapolate if allowed
+        assert warmup["mu"] == MU and warmup["zero_columns"] > 0
+        assert exact["mu"] == 0.0 and exact["zero_columns"] > 0
+        als_regularized(Y, AlsConfig(seed=seed))
+        ridge, polish = doubled_steps[2:]
+        assert [s["tried"] for s in doubled_steps] == [0, 0, ridge["tried"], 0]
+        assert ridge["mu"] == MU and ridge["tried"] > 0 and polish["mu"] == 0.0
+
+    @pytest.mark.parametrize("snr_db", [25.0, 30.0])
+    def test_rank_matches_the_plain_ridge_stage(self, doubled_steps, snr_db):
+        # doubled steps from the first dropped component on changed the rank
+        # of trial 1 at 30 dB: their start waits for EXTRAPOLATE_BELOW
+        for trial in range(4):
+            Y, seed = table1_tensor(snr_db, trial)
+            cfg = AlsConfig(seed=seed)
+            res = als_regularized(Y, cfg)
+            assert doubled_steps[-2]["tried"] > 0
+            Yn = ComplexTensor3(Y.data / frobenius_norm(Y))
+            plain = cp_als._als_core(Yn, cfg.k_upper, cfg, mu=MU)
+            assert doubled_steps[-1]["tried"] == 0
+            _, keep = prune_components(plain.factors, cp_als.PRUNE_THRESHOLD)
+            assert res.estimated_rank == int(np.sum(keep))
+            # the same rank in fewer sweeps
+            assert res.iterations < plain.iterations

@@ -1,6 +1,7 @@
 """Direct compressed-sensing baseline: operator oracle and recovery checks."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cpchan.sparse_solver import (
     adjoint_mismatch,
     build_dictionary,
     fista,
+    top_singular_value,
     universal_lambda,
 )
 from cpchan.tensor_core import ComplexTensor3
@@ -80,13 +82,16 @@ class ScaledColumnsOperator:
 
 def loop_solve_cs(prob):
     """Reference noisy solve_cs: FISTA on the loop operator scaled to unit
-    columns, and a joint refit whose columns are the physical operator
-    applied to unit vectors."""
+    columns, at the step of the dense unit-column matrix's sigma_max, and a
+    joint refit whose columns are the physical operator applied to unit
+    vectors."""
     design, grid = prob.design, prob.grid
     op = LoopPilotKronOperator(design, grid)
     norms = op.column_norms()
     lam = universal_lambda(prob.noise_std, op.shape[1], 1.0)
-    sol = fista(ScaledColumnsOperator(op, 1.0 / norms), prob.y, FistaConfig(lam=lam))
+    sigma = np.linalg.norm(unit_columns(np.kron(design.S, build_dictionary(design, grid))), 2)
+    sol = fista(ScaledColumnsOperator(op, 1.0 / norms), prob.y,
+                FistaConfig(lam=lam, step=1.0 / (2.0 * sigma**2)))
     D = (sol.x / norms).reshape(grid.size, design.n_users, order="F")
     supports, cols, owner = [], [], []
     for u in range(design.n_users):
@@ -186,6 +191,18 @@ class TestPilotKronOperator:
             design = tiny_design(seed=4, m_bs=6, t_prime=5, t=t, users=users)
             op = PilotKronOperator(design, AngleGrid(6, 5))
             assert adjoint_mismatch(op, rng) < 1e-10
+
+
+def test_top_singular_value_is_the_dense_svd():
+    # 4 users on 2 pilot slots, so that sigma(S) > 1, as at table1
+    design = build_design(np.random.default_rng(12), 16, 8, 8, 6, 2, [1] * 4)
+    grid = AngleGrid(32, 16)
+    op = PilotKronOperator(design, grid)
+    dense = unit_columns(np.kron(design.S, build_dictionary(design, grid)))
+    sigma = top_singular_value(op)
+    assert sigma == pytest.approx(np.linalg.svd(dense, compute_uv=False)[0], rel=1e-12)
+    products_only = types.SimpleNamespace(shape=op.shape, matvec=op.matvec, rmatvec=op.rmatvec)
+    assert sigma >= top_singular_value(products_only)
 
 
 class TestAssembleProblem:

@@ -1,6 +1,7 @@
 """Proximal-gradient l1 solver and matrix-free angle-grid dictionaries."""
 
 import functools
+import types
 
 import numpy as np
 import pytest
@@ -206,6 +207,49 @@ class TestOperators:
             AngleGrid(0, 4)
         g = AngleGrid(8, 4)
         assert g.cell(8 + 3) == (1, 3)  # column i*n_aoa + j -> (aod i, aoa j)
+
+
+def products_only(op):
+    """An operator's products without its Kronecker factors."""
+    return types.SimpleNamespace(shape=op.shape, matvec=op.matvec, rmatvec=op.rmatvec)
+
+
+def power_iteration(op, n_iters=60, seed=0):
+    """The 60-step power iteration on A^H A that every operator once got."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
+    x /= np.linalg.norm(x)
+    s = 0.0
+    for _ in range(n_iters):
+        x = op.rmatvec(op.matvec(x))
+        nrm = np.linalg.norm(x)
+        s, x = np.sqrt(nrm), x / nrm
+    return float(s)
+
+
+class TestTopSingularValue:
+    @pytest.mark.parametrize("n_rhs", [1, 3])
+    def test_grid_operator_is_the_dense_svd(self, n_rhs):
+        # 48 x 512 blocks, where 60 power steps still read about 1e-9 low
+        design = small_design(seed=12, m_bs=8, t_prime=6)
+        grid = AngleGrid(32, 16)
+        op = StackedGridOperator(design, grid, n_rhs)
+        D = build_dictionary(design, grid)
+        dense = np.kron(np.eye(n_rhs), D / np.linalg.norm(D, axis=0))
+        sigma = top_singular_value(op)
+        assert sigma == pytest.approx(np.linalg.svd(dense, compute_uv=False)[0], rel=1e-12)
+        assert sigma >= top_singular_value(products_only(op)) == power_iteration(op)
+
+    @pytest.mark.parametrize("n_rhs", [1, 8])
+    def test_table1_grid_operator_is_above_the_power_iteration(self, n_rhs):
+        op = StackedGridOperator(table1_design(), AngleGrid(256, 128), n_rhs)
+        assert top_singular_value(op) > top_singular_value(products_only(op))
+
+    def test_matrix_operator_keeps_the_power_iteration(self):
+        rng = np.random.default_rng(13)
+        M = MatrixOperator(rng.standard_normal((20, 12)) + 1j * rng.standard_normal((20, 12)))
+        assert top_singular_value(M) == power_iteration(M)
+        assert top_singular_value(M, n_iters=7, seed=3) == power_iteration(M, 7, 3)
 
 
 class TestSupportProduct:
