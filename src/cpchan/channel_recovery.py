@@ -319,6 +319,7 @@ def estimate_all(
         runtime_s=runtime,
         diagnostics={
             "als_converged": res.converged,
+            "polish_sweeps": res.polish_sweeps,
             "solver_converged": solver_converged,
             "dead_components": int(live.size - np.count_nonzero(live)),
         },

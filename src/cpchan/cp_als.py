@@ -14,7 +14,8 @@ Two entry points:
   the stacked-sqrt(MU) least squares problem in closed form.  After
   convergence, rank-one components whose energy z_k = ||a_k|| ||b_k|| ||c_k||
   falls below PRUNE_THRESHOLD of the largest are pruned; the surviving count
-  is the rank estimate, and exact-LS sweeps at that rank polish the survivors.
+  is the rank estimate, and at most POLISH_ITERS exact-LS sweeps at that rank
+  polish the survivors.
 
 A sweep never forms the Gram of a Khatri-Rao product from the product itself:
 kr(C, B)^H kr(C, B) = (C^H C) * (B^H B) (elementwise), so each update solves
@@ -44,9 +45,15 @@ about 40% and leaves every rank as it was.  Doubled steps from the first
 dropped component on, or longer steps, changed the rank of some inputs.  No
 other stage extrapolates.  The known-rank warm-up stops at WARMUP_ITERS
 sweeps, so its end point depends on its path, and doubled steps there moved
-the known-rank estimates.  The exact-LS stages (the polish and the known-rank
-main stage) run to their sweep cap either way, so doubled steps there only
+the known-rank estimates.  The exact-LS stages do not converge within their
+sweep budgets on table1 either way (the polish stops at POLISH_ITERS, the
+known-rank main stage at AlsConfig.max_iters), so doubled steps there only
 cost time.
+
+The polish stops by a sweep count, not by a tolerance: on table1 its
+objective's relative decrease per sweep stays above 1e-8 for 1000 sweeps, and
+a tolerance of 1e-4, which stops it after 84-241 sweeps at 30 dB, never stops
+it on some 10 dB inputs.
 
 Both entry points own the tensor's scale: each divides Y by its Frobenius
 norm once, runs every stage on that unit-norm copy (the ridge weight MU is
@@ -74,6 +81,11 @@ from .tensor_core import ComplexTensor3, FactorTriple, compose, frobenius_norm, 
 
 RIDGE_FLOOR = 1e-12        # relative floor on the Gram diagonal for numerical safety
 WARMUP_ITERS = 200         # ridge warm-up sweep budget for the known-rank solver
+# exact-LS polish sweep budget after the rank decision: paths of one user share
+# a pilot column, so only each user's block is determined and the polish
+# crawls (sweeps 200-1000 lower its objective by about 2% on table1), and
+# estimate_all re-fits A and B against the exact pilots after it anyway
+POLISH_ITERS = 200
 MU = 3e-3                  # ridge weight on unit-norm data; stable range [1e-3, 1e-2]
 PRUNE_THRESHOLD = 1e-2     # drop components below this share of the largest energy
 # the ridge stage's doubled steps start once a sweep moves the factors by less
@@ -105,6 +117,7 @@ class CpResult:
     objective_trace: list[float] = field(default_factory=list)
     estimated_rank: int = 0
     converged: bool = True
+    polish_sweeps: int = 0     # als_regularized's exact-LS polish; 0 elsewhere
 
 
 def _init_factors(rng: np.random.Generator, dims, rank: int):
@@ -345,16 +358,19 @@ def als_regularized(Y: ComplexTensor3, cfg: AlsConfig | None = None) -> CpResult
     """Rank-estimating ALS with a trace-norm style ridge on all factors.
 
     After the ridge stage converges and negligible components are pruned,
-    the surviving components are polished by exact-LS sweeps at the fixed
-    estimated rank.  The ridge shrinks every component toward zero, which
-    biases the weak (but real) ones; the polish removes that bias without
-    touching the rank decision.  The reported trace covers the ridge stage,
-    whose objective the sweeps minimize monotonically.
+    the surviving components are polished by at most POLISH_ITERS exact-LS
+    sweeps at the fixed estimated rank.  The ridge shrinks every component
+    toward zero, which biases the weak (but real) ones; the polish removes
+    that bias without touching the rank decision.  The reported iterations,
+    convergence and trace cover the ridge stage, whose objective the sweeps
+    minimize monotonically; ``polish_sweeps`` counts the polish's sweeps.
     """
     cfg = cfg or AlsConfig()
     Yn, scale = _unit_norm(Y)
     res = _als_core(Yn, cfg.k_upper, cfg, mu=MU, extrapolate=True)
     pruned, keep = prune_components(res.factors, PRUNE_THRESHOLD)
     rank = int(np.sum(keep))
-    polish = _als_core(Yn, rank, cfg, mu=0.0, init=pruned)
-    return replace(res, factors=_at_scale(polish.factors, scale), estimated_rank=rank)
+    polish_cfg = replace(cfg, max_iters=min(cfg.max_iters, POLISH_ITERS))
+    polish = _als_core(Yn, rank, polish_cfg, mu=0.0, init=pruned)
+    return replace(res, factors=_at_scale(polish.factors, scale), estimated_rank=rank,
+                   polish_sweeps=polish.iterations)

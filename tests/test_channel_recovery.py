@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpchan import bench, channel_recovery
+from cpchan import bench, channel_recovery, cp_als
 from cpchan.channel_recovery import (
     PipelineConfig,
     channel_from_grid,
@@ -420,6 +420,27 @@ class TestEstimateAll:
         assert res.resolution.paths_per_user.sum() == 13 - dead
         assert res.resolution.paths_per_user[0] == channel.paths_per_user[0] == 1
         assert res.resolution.match_scores.size == 13 - dead
+        assert res.diagnostics["polish_sweeps"] == 0
+
+    @pytest.mark.parametrize("trial", [0, 1, 2, 3])
+    def test_polish_budget_moves_no_rank_or_assignment(self, monkeypatch, trial):
+        # the polish follows the rank decision, so its sweep budget moves
+        # neither the rank nor, on the pinned table1 scene, the assignment
+        cfg = dataclasses.replace(
+            bench.ExperimentConfig(seed=0, fixed_realization=True), snr_db=30.0)
+        pcfg, channel, design, rng_noise, rng_als = bench.draw_scene(cfg, 0, trial)
+        pipeline = bench._pipeline_config(pcfg, None, int(rng_als.integers(2**31)))
+        meas = simulate(channel, design, pcfg.snr_db, rng_noise)
+        capped = estimate_all(meas, design, pipeline, channel)
+        monkeypatch.setattr(cp_als, "POLISH_ITERS", 1000)
+        full = estimate_all(meas, design, pipeline, channel)
+        assert capped.estimated_rank == full.estimated_rank
+        np.testing.assert_array_equal(capped.resolution.paths_per_user,
+                                      full.resolution.paths_per_user)
+        assert capped.als_iterations == full.als_iterations
+        # neither polish converges: each runs its whole budget
+        assert capped.diagnostics["polish_sweeps"] == 200
+        assert full.diagnostics["polish_sweeps"] == 1000
 
     def test_zero_tensor_raises(self):
         rng = np.random.default_rng(13)

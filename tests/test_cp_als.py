@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from cpchan import bench, cp_als
 from cpchan.cp_als import (
     MU,
+    POLISH_ITERS,
     RIDGE_FLOOR,
+    WARMUP_ITERS,
     AlsConfig,
     _als_core,
     _gevd_init,
@@ -314,15 +316,17 @@ def table1_tensor(snr_db, trial):
 
 @pytest.fixture
 def doubled_steps(monkeypatch):
-    """Spy: per _als_core call (a stage), its mu and the doubled steps it
-    tried, and the zero C columns of its returned factors."""
+    """Spy: per _als_core call (a stage), its mu, whether it was given a
+    start, its sweep budget, the doubled steps it tried, the sweeps it ran
+    and the zero C columns of its returned factors."""
     stages = []
     core, step = cp_als._als_core, cp_als._doubled_step
 
     def spy_core(Y, rank, cfg, mu, init=None, **kwargs):
-        stage = {"mu": mu, "tried": 0}
+        stage = {"mu": mu, "init": init is not None, "max_iters": cfg.max_iters, "tried": 0}
         stages.append(stage)
         res = core(Y, rank, cfg, mu, init, **kwargs)
+        stage["iterations"] = res.iterations
         stage["zero_columns"] = int(np.sum(~np.any(res.factors.C, axis=0)))
         return res
 
@@ -430,3 +434,32 @@ class TestDoubledRidgeSteps:
             assert res.estimated_rank == int(np.sum(keep))
             # the same rank in fewer sweeps
             assert res.iterations < plain.iterations
+
+
+class TestPolishBudget:
+    """als_regularized's exact-LS polish runs at most POLISH_ITERS sweeps;
+    every other stage keeps its budget."""
+
+    @pytest.mark.parametrize("max_iters", [1000, 30])
+    def test_polish_is_capped(self, doubled_steps, max_iters):
+        Y, seed = table1_tensor(30.0, 0)
+        cfg = AlsConfig(seed=seed, max_iters=max_iters)
+        res = als_regularized(Y, cfg)
+        ridge, polish = doubled_steps
+        assert ridge["mu"] == MU and not ridge["init"]
+        assert ridge["max_iters"] == max_iters
+        assert polish["mu"] == 0.0 and polish["init"]
+        assert polish["max_iters"] == min(max_iters, POLISH_ITERS)
+        # the polish does not converge on table1: it runs its whole budget
+        assert res.polish_sweeps == polish["iterations"] == min(max_iters, POLISH_ITERS)
+        # iterations stay the ridge stage's count
+        assert res.iterations == ridge["iterations"]
+
+    def test_known_rank_budgets_unchanged(self, doubled_steps):
+        Y, seed = table1_tensor(30.0, 0)
+        cfg = AlsConfig(seed=seed)
+        res = als_known_rank(Y, 13, cfg)
+        warmup, exact = doubled_steps
+        assert (warmup["mu"], warmup["init"], warmup["max_iters"]) == (MU, False, WARMUP_ITERS)
+        assert (exact["mu"], exact["init"], exact["max_iters"]) == (0.0, True, cfg.max_iters)
+        assert res.polish_sweeps == 0
