@@ -116,6 +116,11 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(KNOWN_METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        # rank-estimating ALS reports at most its component budget
+        budget = AlsConfig().k_upper
+        if "cpf_regularized" in self.methods and self.total_paths > budget:
+            raise ValueError(f"cpf_regularized estimates at most {budget} paths "
+                             f"(AlsConfig.k_upper), but paths_per_user totals {self.total_paths}")
         # a repeat would run its trials twice and count them twice; sweep
         # values compare as at_point pins them
         pinned = [float(v) if snr else int(v) for v in self.sweep_values]

@@ -132,11 +132,11 @@ def _support_from_magnitudes(mag: np.ndarray, n_measurements: int) -> np.ndarray
     return support
 
 
-def _support_and_refit(op: StackedGridOperator, z: np.ndarray, x: np.ndarray):
+def _support_and_refit(op: StackedGridOperator, norms: np.ndarray, z: np.ndarray, x: np.ndarray):
     """Threshold the grid solution and debias on the recovered support.
 
-    ``op`` is one unit-column block and ``x`` the l1 solution on it; the
-    threshold reads, and the refit returns, physical gains (x / atom_norms).
+    ``x`` is the l1 solution on one block of ``op``, with atom norms ``norms``;
+    the threshold reads, and the refit returns, physical gains (x / norms).
 
     The l1 solution under the universal threshold is already concentrated, so
     a joint least-squares refit over the thresholded atoms removes the
@@ -146,8 +146,7 @@ def _support_and_refit(op: StackedGridOperator, z: np.ndarray, x: np.ndarray):
     otherwise amplify into enormous spurious gains.  That cutoff is set on
     the physical atoms, so the unit columns are rescaled.
     """
-    norms = op.atom_norms()
-    support = _support_from_magnitudes(np.abs(x / norms), op.shape[0])
+    support = _support_from_magnitudes(np.abs(x / norms), z.size)
     if support.size == 0:
         return support, np.array([], dtype=np.complex128)
     cols = np.stack([op.column(k) for k in support], axis=1) * norms[support]
@@ -155,7 +154,7 @@ def _support_and_refit(op: StackedGridOperator, z: np.ndarray, x: np.ndarray):
     return support, gains
 
 
-def _omp_support(op: StackedGridOperator, z: np.ndarray):
+def _omp_support(op: StackedGridOperator, norms: np.ndarray, z: np.ndarray, corr: np.ndarray):
     """Greedy support recovery of a noiseless compressed image.
 
     Without noise an l1 iterate stays diffuse over the oversampled (hence
@@ -165,12 +164,13 @@ def _omp_support(op: StackedGridOperator, z: np.ndarray):
     channel.  Orthogonal matching pursuit over the atoms best correlated
     with the measurement (a quarter of the measurement count) keeps only
     atoms that actually reduce the residual and collapses to the exact
-    support on-grid.  Returns the support and its physical gains.
+    support on-grid.  ``corr`` is the block's adjoint of ``z`` and ``norms``
+    its ``atom_norms()``.  Returns the support and its physical gains.
     """
     if not np.any(z):
         return np.array([], dtype=int), np.array([], dtype=np.complex128)
-    cap = max(1, op.shape[0] // 4)
-    candidates = np.sort(np.argsort(np.abs(op.rmatvec(z)))[::-1][:cap])
+    cap = max(1, z.size // 4)
+    candidates = np.sort(np.argsort(np.abs(corr))[::-1][:cap])
     cols = np.stack([op.column(k) for k in candidates], axis=1)
     z_norm = np.linalg.norm(z)
     residual = z
@@ -190,7 +190,7 @@ def _omp_support(op: StackedGridOperator, z: np.ndarray):
             break
     support = candidates[selected]
     order = np.argsort(support)
-    return support[order], gains[order] / op.atom_norms()[support[order]]
+    return support[order], gains[order] / norms[support[order]]
 
 
 def channel_from_grid(
@@ -252,24 +252,23 @@ def refine_channels(
     grid = cfg.grid
     if grid is None:
         grid = AngleGrid(CPF_OVERSAMPLING * design.n_bs, CPF_OVERSAMPLING * design.n_ms)
-    op = StackedGridOperator(design, grid)
+    # all users share the dictionary, so one block-diagonal operator serves
+    # every user: one batched FISTA run, or one batched adjoint for OMP
+    op = StackedGridOperator(design, grid, n_users)
+    z_all = Z.ravel(order="F")
     if noise_std > 0.0:
         lam = universal_lambda(noise_std, grid.size, LAMBDA_SCALE)
-        # all users share the dictionary, so the per-user solves batch into
-        # one block-diagonal FISTA run; its blocks are identical, so its top
-        # singular value is the single block's
         step = 1.0 / (2.0 * top_singular_value(op) ** 2)
-        sol = fista(
-            StackedGridOperator(design, grid, n_users),
-            Z.ravel(order="F"),
-            FistaConfig(lam=lam, max_iters=FISTA_MAX_ITERS, tol=FISTA_TOL, step=step),
-        )
-        X = sol.x.reshape(grid.size, n_users, order="F")
-        supports = [_support_and_refit(op, Z[:, u], X[:, u]) for u in range(n_users)]
-        converged = sol.converged
+        sol = fista(op, z_all,
+                    FistaConfig(lam=lam, max_iters=FISTA_MAX_ITERS, tol=FISTA_TOL, step=step))
+        coefs, recover, converged = sol.x, _support_and_refit, sol.converged
     else:
-        supports = [_omp_support(op, Z[:, u]) for u in range(n_users)]
-        converged = True
+        coefs, recover, converged = op.rmatvec(z_all), _omp_support, True
+    coefs = coefs.reshape(grid.size, n_users, order="F")
+    # the block's norms, taken after the solve so that the tiled copy of all
+    # blocks' norms does not stay alive through it
+    norms = op.atom_norms()[:grid.size]
+    supports = [recover(op, norms, Z[:, u], coefs[:, u]) for u in range(n_users)]
     channels = [channel_from_grid(support, gains, grid, design.n_bs, design.n_ms)
                 for support, gains in supports]
     return channels, converged

@@ -10,13 +10,11 @@ threshold lam / L (magnitude shrink, phase preserved), so for A = I the fixed
 point is x = soft(y, lam / 2).
 
 FISTA's default step is 1 / L.  ``top_singular_value`` takes sigma_max(A)
-exactly for an operator that exposes ``kron_factors()``, as the grid
-dictionary operators do: the singular values of a Kronecker product are the
-products of its factors' singular values, so sigma_max is the product of the
-factors' largest, each from the eigenvalues of the Gram of the factor's
-shorter side (at most 16 x 16 at table1).  Any other operator,
-``MatrixOperator`` included, gets 60 steps of power iteration, which approach
-sigma_max from below (by up to 0.2% on the table1 grid operators).
+exactly from the operator's ``kron_factors()``: the singular values of a
+Kronecker product are the products of its factors' singular values, so
+sigma_max is the product of the factors' largest, each from the eigenvalues
+of the Gram of the factor's shorter side (at most 16 x 16 at table1).  A
+dense matrix is its own single factor.
 
 After the first iterations the iterate keeps well under 1% of its
 coefficients, so ``fista`` tracks supports: once at most n / 16 entries pass
@@ -28,13 +26,14 @@ coefficients that can pass the threshold.  The iterates stay bit-identical
 to the plain dense loop.
 
 ``A`` may be a dense ndarray or any object exposing ``shape``,
-``matvec(x, support=None)`` and ``rmatvec(y)``.  ``support`` is a hint: sorted
-indices outside which ``x`` is zero.  ``fista`` passes it in its
-support-tracking phase only (the power iteration and the dense phase pass
-none); an operator may use it to run the product over those columns alone,
-or ignore it, as ``MatrixOperator`` does.  An operator may also expose
-``rmatvec(y, out=None)``, ``screened_rmatvec`` and ``kron_factors``, as the
-grid dictionary does.  The one AoA/AoD grid dictionary operator, ``StackedGridOperator``,
+``matvec(x, support=None)``, ``rmatvec(y)`` and ``kron_factors()``; an
+operator without ``kron_factors()`` needs an explicit ``FistaConfig.step``.
+``support`` is a hint: sorted indices outside which ``x`` is zero.  ``fista``
+passes it in its support-tracking phase only (the dense phase passes none);
+an operator may use it to run the product over those columns alone, or
+ignore it, as ``MatrixOperator`` does.  An operator may also expose
+``rmatvec(y, out=None)`` and ``screened_rmatvec``, as the grid dictionary
+does.  The one AoA/AoD grid dictionary operator, ``StackedGridOperator``,
 lives here too: it applies the dictionary matrix-free through its Kronecker
 factors, batched over users, so the big dictionaries are never
 materialized, and it uses the hint once the support holds at most
@@ -76,36 +75,24 @@ class MatrixOperator:
     def rmatvec(self, y):
         return self.M.conj().T @ y
 
+    def kron_factors(self) -> tuple[np.ndarray]:
+        """(M,): a dense matrix is its own single factor."""
+        return (self.M,)
+
 
 def as_operator(A):
     return A if hasattr(A, "matvec") else MatrixOperator(A)
 
 
-def _largest_singular_value(F: np.ndarray) -> float:
-    """sigma_max of a small dense matrix, from the Gram of its shorter side."""
-    G = F @ F.conj().T if F.shape[0] <= F.shape[1] else F.conj().T @ F
-    return float(np.sqrt(np.linalg.eigvalsh(G)[-1]))
-
-
-def top_singular_value(op, n_iters: int = 60, seed: int = 0) -> float:
-    """sigma_max of ``op``: exact for an operator that exposes ``kron_factors()``,
-    otherwise from ``n_iters`` steps of power iteration on A^H A, which is
-    deterministic under the fixed seed and approaches sigma_max from below."""
-    if hasattr(op, "kron_factors"):
-        # the singular values of a Kronecker product are the products of its
-        # factors' singular values, so sigma_max is the product of theirs
-        return float(np.prod([_largest_singular_value(F) for F in op.kron_factors()]))
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
-    x /= np.linalg.norm(x)
-    s = 0.0
-    for _ in range(n_iters):
-        x = op.rmatvec(op.matvec(x))
-        nrm = np.linalg.norm(x)
-        if nrm == 0.0:
-            return 0.0
-        s, x = np.sqrt(nrm), x / nrm
-    return float(s)
+def top_singular_value(op) -> float:
+    """sigma_max of ``op``, exact: the product of its ``kron_factors()``'
+    largest singular values, each from the Gram of the factor's shorter side."""
+    if not hasattr(op, "kron_factors"):
+        raise TypeError(f"top_singular_value needs kron_factors() on {type(op).__name__}; "
+                        "pass FistaConfig.step instead")
+    grams = [F @ F.conj().T if F.shape[0] <= F.shape[1] else F.conj().T @ F
+             for F in op.kron_factors()]
+    return float(np.prod([np.sqrt(np.linalg.eigvalsh(G)[-1]) for G in grams]))
 
 
 def adjoint_mismatch(op, rng: np.random.Generator) -> float:
@@ -127,7 +114,7 @@ class FistaConfig:
     lam: float = 1e-3
     max_iters: int = 2000
     tol: float = 1e-8          # relative objective change
-    step: float | None = None  # None -> 1 / (2 sigma_max^2), top_singular_value
+    step: float | None = None  # None -> 1 / (2 sigma_max^2) from kron_factors()
 
     def __post_init__(self):
         if self.lam <= 0:

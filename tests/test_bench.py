@@ -138,6 +138,16 @@ class TestConfig:
     def test_total_paths(self):
         assert ExperimentConfig(**TINY).total_paths == 2
 
+    def test_path_count_above_the_rank_budget_is_named(self):
+        budget = AlsConfig().k_upper
+        over = {**TINY, "paths_per_user": (1,) * (budget + 1)}
+        with pytest.raises(ValueError, match=rf"cpf_regularized.*\b{budget}\b.*\b{budget + 1}$"):
+            ExperimentConfig(**over, methods=("cpf_known_L", "cpf_regularized"))
+        # the other methods take the path count as given
+        ExperimentConfig(**over, methods=("cpf_known_L", "cs_grid1", "cs_grid2"))
+        ExperimentConfig(**{**TINY, "paths_per_user": (1,) * budget},
+                         methods=("cpf_regularized",))
+
     def test_unknown_key_is_named(self):
         with pytest.raises(ValueError, match=r"unknown config keys.*als_mu"):
             config_from_dict({**TINY, "als_mu": 3e-3})

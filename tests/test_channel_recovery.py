@@ -211,6 +211,25 @@ class TestEstimateUserChannel:
         assert nmse(H_true, H) < 1e-10
         assert converged
 
+    @pytest.mark.parametrize("noise_std", [0.0, 1e-3])
+    def test_builds_one_grid_operator(self, monkeypatch, noise_std):
+        # one stacked operator serves the step, the l1 solve, the OMP
+        # correlations and the refits
+        built = []
+
+        class CountingOperator(StackedGridOperator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self.n_rhs)
+
+        monkeypatch.setattr(channel_recovery, "StackedGridOperator", CountingOperator)
+        grid = AngleGrid(32, 16)
+        channel, design = on_grid_scene(23, (1, 2), 16, 8, 16, 16, 2, grid)
+        Z = np.stack([(design.Q.T @ H @ design.P).ravel(order="F")
+                      for H in assemble_all(channel)], axis=1)
+        refine_channels(Z, design, PipelineConfig(grid=grid), noise_std)
+        assert built == [2]
+
     def test_zero_input_gives_zero_channel(self):
         rng = np.random.default_rng(8)
         design = build_design(rng, 16, 8, 6, 5, 2, (1, 1))
