@@ -57,8 +57,12 @@ def _is_finite_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and bool(np.isfinite(v))
 
 
+def _is_integer(v) -> bool:
+    return _is_finite_real(v) and float(v).is_integer()
+
+
 def _is_count(v) -> bool:
-    return _is_finite_real(v) and float(v).is_integer() and v >= 1
+    return _is_integer(v) and v >= 1
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,12 @@ class ExperimentConfig:
             if not _is_count(v):
                 raise ValueError(f"{key} must be a positive integer, got {v!r}")
             object.__setattr__(self, key, int(v))
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
+        if not isinstance(self.fixed_realization, bool):
+            raise ValueError(f"fixed_realization must be true or false, "
+                             f"got {self.fixed_realization!r}")
         if self.t < 2:
             raise ValueError(f"t must be at least 2 for identifiability, got {self.t!r}")
         if self.snr_db is not None and not _is_finite_real(self.snr_db):

@@ -98,7 +98,7 @@ def pilot_constrained_polish(
     Y: ComplexTensor3,
     C: np.ndarray,
     B: np.ndarray,
-    sweeps: int = 3,
+    sweeps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Re-fit the spatial factors with the pilot-mode factor held fixed.
 

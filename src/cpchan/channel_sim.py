@@ -120,34 +120,6 @@ def sample_channel(
     return GeometricChannel(gains, np.sin(aoas), np.sin(aods), paths_per_user, n_bs, n_ms)
 
 
-def sample_channel_on_grid(
-    rng: np.random.Generator,
-    paths_per_user,
-    n_bs: int,
-    n_ms: int,
-    sin_aoa_grid: np.ndarray,
-    sin_aod_grid: np.ndarray,
-) -> GeometricChannel:
-    """Like :func:`sample_channel` but with sin-angles that are grid values.
-
-    AoA and AoD grid indices are each drawn without replacement across all
-    paths, so every path has a distinct AoA and a distinct AoD.  Shared
-    coordinates would make steering columns collide, dropping the factor
-    k-rank and breaking decomposition uniqueness; the fully distinct draw
-    keeps on-grid oracle experiments in the identifiable regime.
-    """
-    paths_per_user = tuple(paths_per_user)
-    total = sum(paths_per_user)
-    if total > min(len(sin_aoa_grid), len(sin_aod_grid)):
-        raise ValueError("more paths than distinct grid coordinates")
-    var = path_gain_variance(n_bs, n_ms)
-    aoa_idx = rng.choice(len(sin_aoa_grid), size=total, replace=False)
-    aod_idx = rng.choice(len(sin_aod_grid), size=total, replace=False)
-    gains = np.sqrt(var / 2) * (rng.standard_normal(total) + 1j * rng.standard_normal(total))
-    return GeometricChannel(gains, np.asarray(sin_aoa_grid)[aoa_idx],
-                            np.asarray(sin_aod_grid)[aod_idx], paths_per_user, n_bs, n_ms)
-
-
 def synthesize(gains, sin_aoa, sin_aod, n_bs: int, n_ms: int) -> np.ndarray:
     """sum_r gains[r] * a_bs(sin_aoa[r]) a_ms(sin_aod[r])^T, an n_bs x n_ms
     matrix, accumulated one path at a time in the given order."""

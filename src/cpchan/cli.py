@@ -66,6 +66,16 @@ def _cmd_check_uniqueness(args) -> int:
     return status
 
 
+def _thread_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="cpchan")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -74,7 +84,7 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default="results.csv")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument("--threads", type=_thread_count, default=1)
     p_run.add_argument("--deterministic", action="store_true",
                        help="zero the runtime column so reruns are byte-identical")
     p_run.add_argument("--check-trend", action="store_true",

@@ -13,8 +13,7 @@ FISTA's default step is 1 / L.  ``top_singular_value`` takes sigma_max(A)
 exactly from the operator's ``kron_factors()``: the singular values of a
 Kronecker product are the products of its factors' singular values, so
 sigma_max is the product of the factors' largest, each from the eigenvalues
-of the Gram of the factor's shorter side (at most 16 x 16 at table1).  A
-dense matrix is its own single factor.
+of the Gram of the factor's shorter side (at most 16 x 16 at table1).
 
 After the first iterations the iterate keeps well under 1% of its
 coefficients, so ``fista`` tracks supports: once at most n / 16 entries pass
@@ -25,13 +24,13 @@ an operator that screens its adjoint: there they cover only the rows of
 coefficients that can pass the threshold.  The iterates stay bit-identical
 to the plain dense loop.
 
-``A`` may be a dense ndarray or any object exposing ``shape``,
+``A`` is an operator: any object exposing ``shape``,
 ``matvec(x, support=None)``, ``rmatvec(y)`` and ``kron_factors()``; an
 operator without ``kron_factors()`` needs an explicit ``FistaConfig.step``.
 ``support`` is a hint: sorted indices outside which ``x`` is zero.  ``fista``
 passes it in its support-tracking phase only (the dense phase passes none);
 an operator may use it to run the product over those columns alone, or
-ignore it, as ``MatrixOperator`` does.  An operator may also expose
+ignore it.  An operator may also expose
 ``rmatvec(y, out=None)`` and ``screened_rmatvec``, as the grid dictionary
 does.  The one AoA/AoD grid dictionary operator, ``StackedGridOperator``,
 lives here too: it applies the dictionary matrix-free through its Kronecker
@@ -62,28 +61,6 @@ import numpy as np
 # operators
 # ---------------------------------------------------------------------------
 
-class MatrixOperator:
-    """Adapter giving a dense matrix the operator protocol."""
-
-    def __init__(self, M):
-        self.M = np.asarray(M, dtype=np.complex128)
-        self.shape = self.M.shape
-
-    def matvec(self, x, support=None):
-        return self.M @ x
-
-    def rmatvec(self, y):
-        return self.M.conj().T @ y
-
-    def kron_factors(self) -> tuple[np.ndarray]:
-        """(M,): a dense matrix is its own single factor."""
-        return (self.M,)
-
-
-def as_operator(A):
-    return A if hasattr(A, "matvec") else MatrixOperator(A)
-
-
 def top_singular_value(op) -> float:
     """sigma_max of ``op``, exact: the product of its ``kron_factors()``'
     largest singular values, each from the Gram of the factor's shorter side."""
@@ -95,23 +72,13 @@ def top_singular_value(op) -> float:
     return float(np.prod([np.sqrt(np.linalg.eigvalsh(G)[-1]) for G in grams]))
 
 
-def adjoint_mismatch(op, rng: np.random.Generator) -> float:
-    """Relative |<Ax, y> - <x, A^H y>| on a random pair; 0 for a true adjoint."""
-    x = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
-    y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
-    lhs = np.vdot(y, op.matvec(x))
-    rhs = np.vdot(op.rmatvec(y), x)
-    scale = max(abs(lhs), abs(rhs), 1e-30)
-    return abs(lhs - rhs) / scale
-
-
 # ---------------------------------------------------------------------------
 # FISTA
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FistaConfig:
-    lam: float = 1e-3
+    lam: float
     max_iters: int = 2000
     tol: float = 1e-8          # relative objective change
     step: float | None = None  # None -> 1 / (2 sigma_max^2) from kron_factors()
@@ -135,13 +102,9 @@ class FistaResult:
     converged: bool = True
 
 
-def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    """Complex soft threshold: shrink magnitudes by t, keep phases."""
-    return _shrink(v, np.abs(v), t)
-
-
 def _shrink(v, mag, t, out=None):
-    """soft_threshold(v, t) given ``mag`` = |v|, which it overwrites."""
+    """Complex soft threshold of v at t (magnitudes shrunk by t, phases
+    kept), given ``mag`` = |v|, which it overwrites."""
     np.maximum(mag, 1e-300, out=mag)
     np.divide(t, mag, out=mag)
     np.subtract(1.0, mag, out=mag)
@@ -208,18 +171,20 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
     and the dense step copies it into the iterate, and both free it before
     ``matvec``.
     """
-    op = as_operator(A)
+    if not hasattr(A, "matvec"):
+        raise TypeError(f"fista needs an operator with shape, matvec(x, support=None), "
+                        f"rmatvec(y) and kron_factors(), got {type(A).__name__}")
     y = np.asarray(y, dtype=np.complex128).ravel()
-    if y.shape[0] != op.shape[0]:
-        raise ValueError(f"y length {y.shape[0]} does not match operator rows {op.shape[0]}")
+    if y.shape[0] != A.shape[0]:
+        raise ValueError(f"y length {y.shape[0]} does not match operator rows {A.shape[0]}")
     if not np.all(np.isfinite(y)):
         raise ValueError("y has non-finite entries")
-    n = op.shape[1]
+    n = A.shape[1]
     trace = [float(np.linalg.norm(y) ** 2)]
     if cfg.step is not None:
         step = cfg.step
     else:
-        smax = top_singular_value(op)
+        smax = top_singular_value(A)
         if smax == 0.0:
             return FistaResult(np.zeros(n, dtype=np.complex128), trace, 0, True)
         step = 1.0 / (2.0 * smax**2)
@@ -235,12 +200,12 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
     mag = np.empty(n)
     below = np.empty(n, dtype=bool)
     # a screening operator writes every adjoint, full or screened, here
-    adj_buf = np.empty(n, dtype=np.complex128) if hasattr(op, "screened_rmatvec") else None
+    adj_buf = np.empty(n, dtype=np.complex128) if hasattr(A, "screened_rmatvec") else None
     # indices outside which x is zero and z is not read (its entries there
     # are zero in the dense loop but may be stale here); None while dense
     x_sup = z_sup = np.empty(0, dtype=np.intp)
     screen = False               # screen the next adjoint (after a support-tracking step)
-    ax = np.zeros(op.shape[0], dtype=np.complex128)
+    ax = np.zeros(A.shape[0], dtype=np.complex128)
     az = ax                      # A z tracked through the linear momentum update
     t_momentum = 1.0
     converged = False
@@ -249,7 +214,7 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
         r = az - y
         rows = None
         if screen:
-            rows, v = op.screened_rmatvec(r, -neg_two_step, thresh, z_sup, adj_buf)
+            rows, v = A.screened_rmatvec(r, -neg_two_step, thresh, z_sup, adj_buf)
             width = v.shape[1]
             v = v.reshape(-1)
             # a kept row's position in the flat block minus its coefficient
@@ -261,13 +226,13 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
             if n_cand * SPARSE_SHARE > n:
                 rows = None
         if rows is None:
-            v = op.rmatvec(r) if adj_buf is None else op.rmatvec(r, out=adj_buf)
+            v = A.rmatvec(r) if adj_buf is None else A.rmatvec(r, out=adj_buf)
             n_cand = _gradient_step(v, z, z_sup, z_sup, neg_two_step, thresh, mag, below)
         del r
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2)) / 2.0
         beta = (t_momentum - 1.0) / t_new
         if n_cand * SPARSE_SHARE > n:
-            # x_new = soft_threshold(v) in v; z = x_new + beta * (x_new - x)
+            # x_new = soft threshold of v, in v; z = x_new + beta * (x_new - x)
             _shrink(v, mag, thresh, out=v)
             np.subtract(v, x, out=z)
             np.multiply(beta, z, out=z)
@@ -276,7 +241,7 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
             del v
             x_sup = z_sup = None
             screen = False
-            ax_new = op.matvec(x)
+            ax_new = A.matvec(x)
             np.abs(x, out=mag)
         else:
             is_cand = np.logical_not(below[:v.size], out=below[:v.size])
@@ -305,7 +270,7 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
             z[moved] = dx
             x_sup, z_sup = cand, moved
             screen = adj_buf is not None
-            ax_new = op.matvec(x, support=cand)
+            ax_new = A.matvec(x, support=cand)
             # the l1 term sums a dense zero-padded |x|, as the dense loop
             # does, so the pairwise summation order is the same
             mag.fill(0.0)
@@ -521,9 +486,3 @@ class StackedGridOperator:
         j, i = self.grid.cell(k)
         return np.outer(self.G_Q[:, i], self.G_P[:, j]).ravel(order="F")
 
-
-def build_dictionary(design, grid: AngleGrid) -> np.ndarray:
-    """Dense (m_bs * t_prime) x (n_aoa * n_aod) dictionary via the mixed-product
-    identity; intended for oracle tests and small grids only."""
-    G_Q, G_P = design.responses(grid.sin_aoa, grid.sin_aod)
-    return np.kron(G_P, G_Q)

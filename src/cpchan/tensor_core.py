@@ -14,8 +14,6 @@ Conventions (fixed; all identities in the test suite are checked against them):
 
   for X composed from factors (A, B, C), where ``kr(U, V)`` is the Khatri-Rao
   product with column r = kron(U[:, r], V[:, r]) (V index varies fastest).
-* The tensor inner product conjugates its *second* argument, so that
-  ``inner_product(X, X)`` is real and equals the squared Frobenius norm.
 """
 
 from __future__ import annotations
@@ -87,41 +85,12 @@ class FactorTriple:
         return (self.A.shape[0], self.B.shape[0], self.C.shape[0])
 
 
-def _check_mode(mode: int) -> None:
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-
-
 def unfold(X: ComplexTensor3, mode: int) -> np.ndarray:
     """Mode-n unfolding: shape (I_n, prod of the other dims)."""
-    _check_mode(mode)
+    if mode not in (1, 2, 3):
+        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
     arr = np.moveaxis(X.data, mode - 1, 0)
     return arr.reshape(arr.shape[0], -1, order="F")
-
-
-def fold(M: np.ndarray, mode: int, dims: tuple[int, int, int]) -> ComplexTensor3:
-    """Inverse of :func:`unfold` for the given target dims."""
-    _check_mode(mode)
-    dims = tuple(int(d) for d in dims)
-    rest = [d for i, d in enumerate(dims) if i != mode - 1]
-    M = _as_complex(M)
-    if M.shape != (dims[mode - 1], rest[0] * rest[1]):
-        raise ValueError(f"matrix shape {M.shape} does not match dims {dims} mode {mode}")
-    arr = M.reshape([dims[mode - 1]] + rest, order="F")
-    return ComplexTensor3(np.moveaxis(arr, 0, mode - 1))
-
-
-def mode_n_product(X: ComplexTensor3, M, mode: int) -> ComplexTensor3:
-    """n-mode product: unfold(result, n) == M @ unfold(X, n)."""
-    _check_mode(mode)
-    M = _as_complex(M)
-    if M.ndim != 2 or M.shape[1] != X.dims[mode - 1]:
-        raise ValueError(
-            f"matrix of shape {M.shape} cannot multiply mode {mode} of dims {X.dims}"
-        )
-    dims = list(X.dims)
-    dims[mode - 1] = M.shape[0]
-    return fold(M @ unfold(X, mode), mode, tuple(dims))
 
 
 def khatri_rao(A, B) -> np.ndarray:
@@ -142,13 +111,6 @@ def compose(F: FactorTriple) -> ComplexTensor3:
         return ComplexTensor3(np.zeros((I1, I2, I3), dtype=np.complex128))
     arr = np.einsum("ir,jr,kr->ijk", F.A, F.B, F.C, optimize=True)
     return ComplexTensor3(arr)
-
-
-def inner_product(X: ComplexTensor3, Y: ComplexTensor3) -> complex:
-    """<X, Y> with the second argument conjugated."""
-    if X.dims != Y.dims:
-        raise ValueError(f"dimension mismatch: {X.dims} vs {Y.dims}")
-    return complex(np.sum(X.data * np.conj(Y.data)))
 
 
 def frobenius_norm(X: ComplexTensor3) -> float:

@@ -108,25 +108,6 @@ def _coherences(S: np.ndarray) -> np.ndarray:
     return np.abs(G).max(axis=(1, 2))
 
 
-def mutual_coherence(S) -> float:
-    """Largest normalized inner product between distinct columns.
-
-    Raises ValueError on a zero column, whose direction is undefined.
-    """
-    S = np.asarray(S, dtype=np.complex128)
-    zero = np.flatnonzero(np.linalg.norm(S, axis=0) == 0.0)
-    if zero.size:
-        raise ValueError(f"column {zero[0]} of the frame is zero; its coherence is undefined")
-    return float(_coherences(S[None])[0])
-
-
-def welch_bound(t: int, u: int) -> float:
-    """Lower bound on the coherence of u unit vectors in C^t (0 when u <= t)."""
-    if u <= t:
-        return 0.0
-    return float(np.sqrt((u - t) / (t * (u - 1))))
-
-
 def minimize_coherence(rng: np.random.Generator, t: int, u: int) -> np.ndarray:
     """Near-Grassmannian frame of u unit-norm columns in C^t.
 

@@ -50,9 +50,9 @@ class TestConfig:
             config_from_dict({"sweep_variable": "t", "sweep_values": [2, 0]})
 
     def test_integer_fields_are_coerced(self):
-        cfg = config_from_dict({**TINY, "m_bs": 6.0, "t": 2.0, "trials": 1.0})
-        assert (cfg.m_bs, cfg.t, cfg.trials) == (6, 2, 1)
-        assert all(type(v) is int for v in (cfg.m_bs, cfg.t, cfg.trials))
+        cfg = config_from_dict({**TINY, "m_bs": 6.0, "t": 2.0, "trials": 1.0, "seed": 7.0})
+        assert (cfg.m_bs, cfg.t, cfg.trials, cfg.seed) == (6, 2, 1, 7)
+        assert all(type(v) is int for v in (cfg.m_bs, cfg.t, cfg.trials, cfg.seed))
 
     @pytest.mark.parametrize("key, value", [
         ("n_bs", 16.5), ("n_ms", 8.25), ("m_bs", 6.5), ("t_prime", 6.5),
@@ -60,7 +60,11 @@ class TestConfig:
         ("n_bs", "16"), ("t", "2"), ("trials", True), ("m_bs", False),
         ("paths_per_user", [1, 0]), ("paths_per_user", [1, 1.5]),
         ("paths_per_user", ["1", 1]), ("paths_per_user", [True, 1]), ("paths_per_user", []),
-        ("snr_db", "30"), ("snr_db", True), ("snr_db", float("inf"))])
+        ("snr_db", "30"), ("snr_db", True), ("snr_db", float("inf")),
+        # a negative seed would fail only later, inside the scene draw
+        ("seed", -1), ("seed", 1.5), ("seed", "3"), ("seed", True), ("seed", None),
+        # the JSON string "false" is truthy and would pin the realization
+        ("fixed_realization", "false"), ("fixed_realization", 0), ("fixed_realization", None)])
     def test_non_integral_field_is_named(self, key, value):
         with pytest.raises(ValueError, match=rf"{key}.*{re.escape(repr(value))}"):
             config_from_dict({**TINY, key: value})
@@ -304,6 +308,19 @@ class TestRunSweep:
             rows = list(csv.DictReader(f))
         assert [r["sweep_value"] for r in rows] == ["inf", "inf"]
         assert "snr_db=inf " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_thread_count_must_be_positive(self, tmp_path, capsys, monkeypatch, threads):
+        # a count below one would silently run the sweep serially
+        swept = []
+        monkeypatch.setattr(bench, "run_sweep", lambda *args, **kwargs: swept.append(1) or [])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(TINY))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", str(cfg_path), f"--threads={threads}"])
+        assert exc.value.code == 2 and not swept
+        assert (f"argument --threads: must be a positive integer, got '{threads}'"
+                in capsys.readouterr().err)
 
     def test_thread_pool_matches_serial(self, tmp_path):
         cfg = ExperimentConfig(**{**TINY, "trials": 2}, methods=("cs_grid1",))

@@ -22,7 +22,6 @@ from cpchan.channel_recovery import (
 from cpchan.channel_sim import (
     assemble_all,
     sample_channel,
-    sample_channel_on_grid,
     steering_from_sin,
 )
 from cpchan.cp_als import AlsConfig
@@ -37,6 +36,7 @@ from cpchan.sparse_solver import (
 )
 from cpchan.tensor_core import ComplexTensor3, FactorTriple, compose, frobenius_norm
 from cpchan.training_design import build_design, pilot_matrix
+from oracles import sample_channel_on_grid
 
 
 def random_factors(rng, dims, rank):
@@ -88,6 +88,11 @@ class TestPilotConstrainedPolish:
         A, B = pilot_constrained_polish(Y, F.C, F.B, sweeps=2)
         np.testing.assert_allclose(compose(FactorTriple(A, B, F.C)).data, Y.data,
                                    rtol=1e-9, atol=1e-11)
+
+    def test_sweep_count_is_required(self):
+        F = random_factors(np.random.default_rng(6), (6, 5, 4), 3)
+        with pytest.raises(TypeError, match="sweeps"):
+            pilot_constrained_polish(compose(F), F.C, F.B)
 
     def test_start_needs_no_scale(self):
         # the A solve of the first sweep absorbs any per-component scale of B

@@ -14,11 +14,11 @@ from cpchan.channel_sim import (
     assemble_all,
     path_gain_variance,
     sample_channel,
-    sample_channel_on_grid,
     steering_from_sin,
     synthesize,
 )
 from cpchan.sparse_solver import AngleGrid
+from oracles import sample_channel_on_grid
 
 
 def steering(theta, n):

@@ -6,20 +6,19 @@ import numpy as np
 import pytest
 
 from cpchan.channel_recovery import _support_from_magnitudes, channel_from_grid
-from cpchan.channel_sim import assemble_all, sample_channel, sample_channel_on_grid
+from cpchan.channel_sim import assemble_all, sample_channel
 from cpchan.cs_baseline import PilotKronOperator, assemble_problem, solve_cs
 from cpchan.measurement import simulate
 from cpchan.sparse_solver import (
     AngleGrid,
     FistaConfig,
-    adjoint_mismatch,
-    build_dictionary,
     fista,
     top_singular_value,
     universal_lambda,
 )
 from cpchan.tensor_core import ComplexTensor3
 from cpchan.training_design import build_design
+from oracles import adjoint_mismatch, build_dictionary, sample_channel_on_grid
 
 
 def tiny_design(seed=0, n_bs=8, n_ms=4, m_bs=4, t_prime=3, t=2, users=2):

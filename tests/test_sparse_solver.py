@@ -16,17 +16,14 @@ from cpchan.sparse_solver import (
     SUPPORT_SHARE,
     AngleGrid,
     FistaConfig,
-    MatrixOperator,
     StackedGridOperator,
-    adjoint_mismatch,
-    as_operator,
-    build_dictionary,
+    _shrink,
     fista,
-    soft_threshold,
     top_singular_value,
     universal_lambda,
 )
 from cpchan.training_design import build_design
+from oracles import MatrixOperator, adjoint_mismatch, build_dictionary, soft_threshold
 
 
 def small_design(seed=0, n_bs=16, n_ms=8, m_bs=6, t_prime=5, t=4):
@@ -92,12 +89,17 @@ def on_support(rng, n, support):
     return x
 
 
+def shrink(v, t):
+    """The solver's soft threshold of v at t, into a new array."""
+    return _shrink(v, np.abs(v), t)
+
+
 class TestSoftThreshold:
     def test_analytic_form(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal(200) + 1j * rng.standard_normal(200)
         t = 0.4
-        out = soft_threshold(v, t)
+        out = shrink(v, t)
         mag = np.abs(v)
         expect = np.where(mag > t, v * (mag - t) / mag, 0.0)
         np.testing.assert_allclose(out, expect, atol=1e-13)
@@ -107,8 +109,8 @@ class TestSoftThreshold:
         rng = np.random.default_rng(1)
         v = rng.standard_normal(20) + 1j * rng.standard_normal(20)
         t = 0.3
-        # min_u ||u - v||^2 + 2 t |u|_1 has solution soft_threshold(v, t)
-        u = soft_threshold(v, t)
+        # min_u ||u - v||^2 + 2 t |u|_1 is solved by the soft threshold of v at t
+        u = shrink(v, t)
         base = np.abs(u - v) ** 2 + 2 * t * np.abs(u)
         for _ in range(50):
             trial = u + 0.01 * (rng.standard_normal(20) + 1j * rng.standard_normal(20))
@@ -117,7 +119,7 @@ class TestSoftThreshold:
 
     def test_zero_below_threshold(self):
         v = np.array([0.1 + 0.1j, 1.0])
-        out = soft_threshold(v, 0.5)
+        out = shrink(v, 0.5)
         assert out[0] == 0.0 and abs(out[1]) == pytest.approx(0.5)
 
 
@@ -435,21 +437,15 @@ class TestScreenedAdjoint:
         np.testing.assert_array_equal(scaled_rows, rows)
 
 
-def allocating_fista(A, y, cfg):
+def allocating_fista(op, y, cfg):
     """Reference FISTA loop that allocates every temporary afresh; the
     buffered solver must reproduce it bit for bit.  Like the solver, it gives
     the forward product the iterate's support as a hint when the candidates
     are few enough for support tracking.  Also returns, per iteration, the
     number of candidates: gradient-step entries the soft threshold does not
     zero by the |v| <= lam * step test."""
-    op = as_operator(A)
     y = np.asarray(y, dtype=np.complex128).ravel()
     step = cfg.step if cfg.step is not None else 1.0 / (2.0 * top_singular_value(op) ** 2)
-
-    def soft(v, t):
-        mag = np.abs(v)
-        return v * np.maximum(0.0, 1.0 - t / np.maximum(mag, 1e-300))
-
     x = np.zeros(op.shape[1], dtype=np.complex128)
     z = x.copy()
     ax = np.zeros(op.shape[0], dtype=np.complex128)
@@ -462,7 +458,7 @@ def allocating_fista(A, y, cfg):
         grad = 2.0 * op.rmatvec(az - y)
         v = z - step * grad
         candidates.append(int(np.count_nonzero(~(np.abs(v) <= cfg.lam * step))))
-        x_new = soft(v, cfg.lam * step)
+        x_new = soft_threshold(v, cfg.lam * step)
         if candidates[-1] * SPARSE_SHARE <= op.shape[1]:
             ax_new = op.matvec(x_new, support=np.flatnonzero(x_new))
         else:
@@ -487,7 +483,7 @@ def assert_matches_reference(op, y, cfg):
     assert np.array_equal(res.x, x)
     assert res.objective_trace == trace
     assert res.iterations == iterations
-    return np.array(candidates) * SPARSE_SHARE <= as_operator(op).shape[1]
+    return np.array(candidates) * SPARSE_SHARE <= op.shape[1]
 
 
 class TestFista:
@@ -501,7 +497,7 @@ class TestFista:
         y_stacked = rng.standard_normal(stacked.shape[0]) + 1j * rng.standard_normal(
             stacked.shape[0])
         for op, y, cfg in (
-                (A, y_dense, FistaConfig(lam=0.1, max_iters=400, tol=1e-10)),
+                (MatrixOperator(A), y_dense, FistaConfig(lam=0.1, max_iters=400, tol=1e-10)),
                 (stacked, y_stacked, FistaConfig(lam=0.05, max_iters=150, tol=1e-7))):
             assert_matches_reference(op, y, cfg)
 
@@ -528,7 +524,8 @@ class TestFista:
         A = rng.standard_normal((24, 64)) + 1j * rng.standard_normal((24, 64))
         y = rng.standard_normal(24) + 1j * rng.standard_normal(24)
         lam = 0.7 * np.max(np.abs(2.0 * A.conj().T @ y))
-        sparse = assert_matches_reference(A, y, FistaConfig(lam=lam, max_iters=300, tol=1e-12))
+        sparse = assert_matches_reference(MatrixOperator(A), y,
+                                          FistaConfig(lam=lam, max_iters=300, tol=1e-12))
         switches = np.diff(sparse.astype(int))
         to_dense, to_sparse = np.flatnonzero(switches == -1), np.flatnonzero(switches == 1)
         assert to_dense.size and to_sparse.size and to_sparse.max() > to_dense.min()
@@ -585,8 +582,8 @@ class TestFista:
         A = rng.standard_normal((30, 60)) + 1j * rng.standard_normal((30, 60))
         x0 = np.zeros(60, dtype=np.complex128)
         x0[[2, 19, 44]] = [1.0, -2.0j, 0.5 + 0.5j]
-        sparse = assert_matches_reference(A, A @ x0, FistaConfig(lam=1e-6, max_iters=300,
-                                                                 tol=1e-14))
+        sparse = assert_matches_reference(MatrixOperator(A), A @ x0,
+                                          FistaConfig(lam=1e-6, max_iters=300, tol=1e-14))
         assert not sparse.any()
 
     def test_lambda_above_gradient_keeps_zero_iterate_and_matches_reference(self):
@@ -596,21 +593,21 @@ class TestFista:
         # x = 0 is optimal once lam >= max |2 A^H y|
         lam = 1.01 * np.max(np.abs(2.0 * A.conj().T @ y))
         cfg = FistaConfig(lam=lam, max_iters=50)
-        x, _, _, candidates = allocating_fista(A, y, cfg)
+        x, _, _, candidates = allocating_fista(MatrixOperator(A), y, cfg)
         assert not np.any(x) and not any(candidates)
-        assert assert_matches_reference(A, y, cfg).all()
+        assert assert_matches_reference(MatrixOperator(A), y, cfg).all()
 
     def test_identity_fixed_point(self):
         # for A = I the lasso solution is the soft threshold of y at lam/2
         y = np.array([3.0, 0.2, -1.0 + 1.0j], dtype=np.complex128)
-        res = fista(np.eye(3), y, FistaConfig(lam=1.0, max_iters=2000, tol=1e-15))
+        res = fista(MatrixOperator(np.eye(3)), y, FistaConfig(lam=1.0, max_iters=2000, tol=1e-15))
         np.testing.assert_allclose(res.x, soft_threshold(y, 0.5), atol=1e-8)
 
     def test_result_owns_its_iterate(self):
         # a view of the solver's work block would keep its momentum half alive
         rng = np.random.default_rng(24)
         A = rng.standard_normal((12, 30)) + 1j * rng.standard_normal((12, 30))
-        res = fista(A, A[:, 4], FistaConfig(lam=0.1, max_iters=20))
+        res = fista(MatrixOperator(A), A[:, 4], FistaConfig(lam=0.1, max_iters=20))
         assert res.x.base is None
 
     def test_long_run_reaches_self_oracle_gap(self):
@@ -622,8 +619,9 @@ class TestFista:
         x0[[3, 17, 41]] = [2.0, -1.0 + 0.5j, 1.5j]
         y = A @ x0 + 0.01 * (rng.standard_normal(30) + 1j * rng.standard_normal(30))
         lam = 0.1
-        ref = fista(A, y, FistaConfig(lam=lam, max_iters=20000, tol=1e-16))
-        short = fista(A, y, FistaConfig(lam=lam, max_iters=3000, tol=1e-14))
+        op = MatrixOperator(A)
+        ref = fista(op, y, FistaConfig(lam=lam, max_iters=20000, tol=1e-16))
+        short = fista(op, y, FistaConfig(lam=lam, max_iters=3000, tol=1e-14))
         gap = lasso_objective(A, y, short.x, lam) - lasso_objective(A, y, ref.x, lam)
         assert gap < 1e-6 * np.linalg.norm(y) ** 2
 
@@ -632,7 +630,7 @@ class TestFista:
         rng = np.random.default_rng(21)
         A = rng.standard_normal((25, 50)) + 1j * rng.standard_normal((25, 50))
         y = rng.standard_normal(25) + 1j * rng.standard_normal(25)
-        res = fista(A, y, FistaConfig(lam=0.5, max_iters=500, tol=1e-14))
+        res = fista(MatrixOperator(A), y, FistaConfig(lam=0.5, max_iters=500, tol=1e-14))
         trace = np.array(res.objective_trace)
         assert trace[-1] < trace[0]
         assert np.min(trace) == pytest.approx(trace[-1], rel=1e-3)
@@ -653,20 +651,30 @@ class TestFista:
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
-            fista(np.eye(3), np.zeros(4), FistaConfig(lam=1.0))
+            fista(MatrixOperator(np.eye(3)), np.zeros(4), FistaConfig(lam=1.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_y_raises(self, bad):
         y = np.ones(4, dtype=np.complex128)
         y[2] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            fista(np.eye(4), y, FistaConfig(lam=1.0))
+            fista(MatrixOperator(np.eye(4)), y, FistaConfig(lam=1.0))
 
     def test_zero_operator_returns_zero(self):
-        res = fista(np.zeros((4, 6)), np.ones(4), FistaConfig(lam=1.0))
+        res = fista(MatrixOperator(np.zeros((4, 6))), np.ones(4), FistaConfig(lam=1.0))
         np.testing.assert_array_equal(res.x, 0)
         # the objective at x = 0 is ||y||^2, as the loop's first entry records
         assert res.objective_trace == [4.0]
+
+    def test_dense_matrix_is_not_an_operator(self):
+        # an ndarray is not wrapped: fista takes the operator protocol only
+        with pytest.raises(TypeError, match=r"fista needs an operator .*matvec.*got ndarray"):
+            fista(np.eye(3), np.ones(3), FistaConfig(lam=1.0))
+
+    def test_lambda_is_required(self):
+        # the l1 weight scales with the data; no default fits every problem
+        with pytest.raises(TypeError, match="lam"):
+            FistaConfig()
 
     def test_invalid_lambda_raises(self):
         with pytest.raises(ValueError):
@@ -695,7 +703,7 @@ class TestFista:
         A = rng.standard_normal((15, 30)) + 1j * rng.standard_normal((15, 30))
         y = rng.standard_normal(15) + 1j * rng.standard_normal(15)
         lam = 1.0
-        res = fista(A, y, FistaConfig(lam=lam, max_iters=20000, tol=1e-16))
+        res = fista(MatrixOperator(A), y, FistaConfig(lam=lam, max_iters=20000, tol=1e-16))
         g = 2.0 * A.conj().T @ (A @ res.x - y)
         on = np.abs(res.x) > 1e-8
         assert np.all(np.abs(np.abs(g[on]) - lam) < 1e-3 * lam)

@@ -1,4 +1,4 @@
-"""Tensor algebra: unfold/fold, mode products, Khatri-Rao, compose, norms."""
+"""Tensor algebra: unfold, Khatri-Rao, compose, norms."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,8 @@ from cpchan.tensor_core import (
     ComplexTensor3,
     FactorTriple,
     compose,
-    fold,
     frobenius_norm,
-    inner_product,
     khatri_rao,
-    mode_n_product,
     unfold,
 )
 from cpchan.training_design import TrainingDesign
@@ -55,13 +52,6 @@ class TestUnfold:
         expected = np.outer(a, np.kron(c, b))
         np.testing.assert_allclose(unfold(ComplexTensor3(X), 1), expected, atol=1e-13)
 
-    @pytest.mark.parametrize("mode", [1, 2, 3])
-    def test_round_trip(self, mode):
-        rng = np.random.default_rng(1)
-        X = random_tensor(rng, (3, 4, 5))
-        M = unfold(X, mode)
-        np.testing.assert_array_equal(fold(M, mode, X.dims).data, X.data)
-
     def test_invalid_mode(self):
         X = ComplexTensor3(np.zeros((2, 2, 2), dtype=complex))
         with pytest.raises(ValueError):
@@ -80,34 +70,6 @@ class TestUnfold:
             3: khatri_rao(F.B, F.A) @ F.C.T,
         }[mode].T
         np.testing.assert_allclose(unfold(X, mode), others, atol=1e-12)
-
-
-class TestModeNProduct:
-    def test_identity(self):
-        rng = np.random.default_rng(3)
-        X = random_tensor(rng, (2, 3, 4))
-        for mode, n in [(1, 2), (2, 3), (3, 4)]:
-            Y = mode_n_product(X, np.eye(n), mode)
-            np.testing.assert_allclose(Y.data, X.data, atol=1e-14)
-
-    def test_matches_unfolding_product(self):
-        rng = np.random.default_rng(4)
-        X = random_tensor(rng, (2, 3, 4))
-        M = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        Y = mode_n_product(X, M, 1)
-        np.testing.assert_allclose(unfold(Y, 1), M @ unfold(X, 1), rtol=1e-12)
-
-    def test_zero_matrix(self):
-        rng = np.random.default_rng(5)
-        X = random_tensor(rng, (2, 3, 4))
-        Y = mode_n_product(X, np.zeros((5, 2)), 1)
-        assert np.all(Y.data == 0)
-
-    def test_dim_mismatch(self):
-        rng = np.random.default_rng(6)
-        X = random_tensor(rng, (2, 3, 4))
-        with pytest.raises(ValueError):
-            mode_n_product(X, np.zeros((5, 3)), 1)
 
 
 class TestKhatriRao:
@@ -180,37 +142,7 @@ class TestNorms:
         for mode in (1, 2, 3):
             assert frobenius_norm(X) == pytest.approx(np.linalg.norm(unfold(X, mode)))
 
-    def test_inner_product_conjugates_second(self):
-        rng = np.random.default_rng(11)
-        X = random_tensor(rng, (2, 3, 4))
-        Y = random_tensor(rng, (2, 3, 4))
-        expected = np.sum(X.data * np.conj(Y.data))
-        assert inner_product(X, Y) == pytest.approx(expected)
-        assert inner_product(X, X).imag == pytest.approx(0.0, abs=1e-12)
-        assert frobenius_norm(X) == pytest.approx(np.sqrt(inner_product(X, X).real))
-
-    def test_inner_product_dim_mismatch(self):
-        X = ComplexTensor3(np.zeros((2, 2, 2), dtype=complex))
-        Y = ComplexTensor3(np.zeros((2, 2, 3), dtype=complex))
-        with pytest.raises(ValueError):
-            inner_product(X, Y)
-
-
 class TestInvariants:
-    @settings(max_examples=30, deadline=None)
-    @given(dims=dims_strategy, seed=st.integers(0, 2**31 - 1))
-    def test_mode_product_unfolding_identity(self, dims, seed):
-        rng = np.random.default_rng(seed)
-        X = random_tensor(rng, dims)
-        for mode in (1, 2, 3):
-            M = rng.standard_normal((3, dims[mode - 1])) + 1j * rng.standard_normal(
-                (3, dims[mode - 1])
-            )
-            Y = mode_n_product(X, M, mode)
-            lhs = unfold(Y, mode)
-            rhs = M @ unfold(X, mode)
-            assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)
-
     @settings(max_examples=30, deadline=None)
     @given(dims=dims_strategy, rank=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
     def test_compose_unfold_consistency(self, dims, rank, seed):
@@ -233,15 +165,6 @@ class TestInvariants:
         lhs = np.kron(A, B) @ np.kron(C, D)
         rhs = np.kron(A @ C, B @ D)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-
-    @settings(max_examples=20, deadline=None)
-    @given(dims=dims_strategy, seed=st.integers(0, 2**31 - 1))
-    def test_fold_unfold_round_trip(self, dims, seed):
-        rng = np.random.default_rng(seed)
-        X = random_tensor(rng, dims)
-        for mode in (1, 2, 3):
-            np.testing.assert_array_equal(fold(unfold(X, mode), mode, dims).data, X.data)
-
 
 class TestTypeInvariants:
     def test_dims_positive(self):

@@ -19,11 +19,10 @@ from cpchan.training_design import (
     krank,
     krank_partitioned,
     minimize_coherence,
-    mutual_coherence,
     pilot_matrix,
     random_unit_modulus,
-    welch_bound,
 )
+from oracles import mutual_coherence, welch_bound
 
 
 class TestRandomUnitModulus:
