@@ -8,8 +8,11 @@
 that trial 0 of that point evaluates.  Exit code is nonzero when the
 ``--check-trend`` assertion fails (including a sweep point whose trials all
 failed) or when any point's scene fails the uniqueness check or cannot be
-checked.  The brute-force self-checks (tensor algebra, k-rank against
-exhaustive search, FISTA) live in the test suite, ``tests/test_acceptance.py``.
+checked.  A config that cannot be read, or holds a bad key or value
+(``--seed`` included), is a usage error: one stderr line naming the path
+and the key or value, and exit code 2.  The brute-force self-checks
+(tensor algebra, k-rank against exhaustive search, FISTA) live in the test
+suite, ``tests/test_acceptance.py``.
 """
 
 from __future__ import annotations
@@ -19,12 +22,27 @@ import sys
 from dataclasses import replace
 
 
+def _load_config(args):
+    """The config ``args`` names, with ``--seed`` applied, or None after one
+    stderr line when the file cannot be read or a key or value is bad."""
+    from . import bench
+
+    try:
+        cfg = bench.load_config(args.config)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+    except (OSError, ValueError) as exc:   # json.JSONDecodeError is a ValueError
+        print(f"cpchan {args.command}: error: {args.config}: {exc}", file=sys.stderr)
+        return None
+    return cfg
+
+
 def _cmd_run(args) -> int:
     from . import bench
 
-    cfg = bench.load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _load_config(args)
+    if cfg is None:
+        return 2
     rows = bench.run_sweep(cfg, out_path=args.out, threads=args.threads,
                            deterministic=args.deterministic)
     for r in rows:
@@ -45,9 +63,9 @@ def _cmd_check_uniqueness(args) -> int:
     from . import bench
     from .training_design import check_uniqueness
 
-    cfg = bench.load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _load_config(args)
+    if cfg is None:
+        return 2
     sweep_var = cfg.sweep_variable or "snr_db"
     status = 0
     for p in bench.point_indices(cfg):

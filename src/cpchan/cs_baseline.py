@@ -62,10 +62,12 @@ class PilotKronOperator:
         Mt = self.grid_op.matvec(d, support).reshape(self.n_users, -1)
         return (self.S @ Mt).ravel()
 
-    def rmatvec(self, y):
+    def rmatvec(self, y, out=None):
+        """(S kron Phi)^H y, written into ``out`` (a coefficient-length
+        vector) when given."""
         # vec(Z S-bar) is the row-major (U, m_bs t') array S^H Z^T
         Zt = y.reshape(self.S.shape[0], -1)
-        return self.grid_op.rmatvec((self._S_H @ Zt).ravel())
+        return self.grid_op.rmatvec((self._S_H @ Zt).ravel(), out=out)
 
     def kron_factors(self) -> tuple[np.ndarray, ...]:
         """(S, G_P, G_Q), the unit-column factors of S kron Phi."""

@@ -15,23 +15,26 @@ Kronecker product are the products of its factors' singular values, so
 sigma_max is the product of the factors' largest, each from the eigenvalues
 of the Gram of the factor's shorter side (at most 16 x 16 at table1).
 
-After the first iterations the iterate keeps well under 1% of its
-coefficients, so ``fista`` tracks supports: once at most n / 16 entries pass
-the threshold test, the soft threshold, the iterate and momentum updates and
-the l1 term run on the old and new supports only.  The gradient step, its
-magnitudes and the threshold mask still cover all n coefficients, except on
-an operator that screens its adjoint: there they cover only the rows of
-coefficients that can pass the threshold.  The iterates stay bit-identical
-to the plain dense loop.
+After the first iterations the iterate keeps 1-2.5% of its coefficients
+(in the support-tracking steps of table1's CS solve at 30 dB, a median of
+about 1% and a 90th percentile of 2.3-2.5% of 65,536 pass the threshold),
+so ``fista`` tracks supports: once at most n / 16 entries pass the threshold
+test, the soft threshold and the iterate and momentum updates run on the
+old and new supports only, and the l1 term on the new one.  The gradient
+step, its magnitudes and the threshold mask still cover all n coefficients,
+except on an operator that screens its adjoint: there they cover only the
+rows of coefficients that can pass the threshold.  The iterates are those
+of the plain dense loop bit for bit.
 
 ``A`` is an operator: any object exposing ``shape``,
-``matvec(x, support=None)``, ``rmatvec(y)`` and ``kron_factors()``; an
-operator without ``kron_factors()`` needs an explicit ``FistaConfig.step``.
-``support`` is a hint: sorted indices outside which ``x`` is zero.  ``fista``
-passes it in its support-tracking phase only (the dense phase passes none);
-an operator may use it to run the product over those columns alone, or
-ignore it.  An operator may also expose
-``rmatvec(y, out=None)`` and ``screened_rmatvec``, as the grid dictionary
+``matvec(x, support=None)``, ``rmatvec(y, out=None)`` and
+``kron_factors()``; an operator without ``kron_factors()`` needs an explicit
+``FistaConfig.step``.  ``support`` is a hint: sorted indices outside which
+``x`` is zero.  ``fista`` passes it in its support-tracking phase only (the
+dense phase passes none); an operator may use it to run the product over
+those columns alone, or ignore it.  ``rmatvec`` writes the adjoint into
+``out``, a coefficient-length vector, when given, and returns it there.
+An operator may also expose ``screened_rmatvec``, as the grid dictionary
 does.  The one AoA/AoD grid dictionary operator, ``StackedGridOperator``,
 lives here too: it applies the dictionary matrix-free through its Kronecker
 factors, batched over users, so the big dictionaries are never
@@ -139,15 +142,16 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
     """FISTA on F(x) = ||y - A x||^2 + lam ||x||_1.
 
     Each iteration forms the gradient step v = z - step * 2 A^H (A z - y),
-    built in place in ``rmatvec``'s output (which must be a new array, or
-    the buffer it is given), its magnitudes |v| and the mask of candidates
-    ~(|v| <= lam * step), the only entries the soft threshold can keep.  When the candidates number at most
-    n / SPARSE_SHARE, the threshold, the iterate and momentum updates and the
-    l1 term are computed on the old and new supports only; above that the
-    loop stays dense.  In the support-tracking step the forward product gets
-    the candidates as its ``support`` hint (the iterate is zero outside
-    them), so an operator that uses the hint multiplies by those columns
-    only.
+    built in place in the adjoint's buffer, its magnitudes |v| and the mask
+    of candidates ~(|v| <= lam * step), the only entries the soft threshold
+    can keep.  When the candidates number at most n / SPARSE_SHARE, the
+    threshold and the iterate and momentum updates are computed on the old
+    and new supports only, and the l1 term sums |x| over the candidates in
+    index order (x is zero elsewhere); above that the loop stays dense and
+    sums |x| over all n entries.  In the support-tracking step the forward
+    product gets the candidates as its ``support`` hint (the iterate is zero
+    outside them), so an operator that uses the hint multiplies by those
+    columns only.
 
     After a support-tracking step, an operator with ``screened_rmatvec``
     (the grid dictionary) forms the next gradient step on the grid rows that
@@ -159,21 +163,24 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
     is formed again from the full adjoint and the loop goes dense.  Either
     way the per-entry arithmetic is that of the plain allocating loop, so
     the iterates and the objective trace are the same bit for bit, and so
-    are those of the allocating loop that passes the same ``support`` hint.
+    are those of the allocating loop that passes the same ``support`` hint
+    and sums the l1 term the same way.
 
     Memory: the iterate (a dense, zero-padded vector) and the momentum point
-    share one block allocated once per call; the magnitudes and the mask are
-    one buffer each.  A screening operator writes every adjoint, screened or
-    full, into one more buffer of n entries.  For other operators the
-    gradient-step vector is
-    ``rmatvec``'s output and lives only until the threshold: the
-    support-tracking step keeps at most n / SPARSE_SHARE candidates of it
-    and the dense step copies it into the iterate, and both free it before
-    ``matvec``.
+    start in one block allocated once per call; the magnitudes and the mask
+    are one buffer each, and every adjoint of every operator, screened or
+    full, is written into one more buffer of n entries (``rmatvec``'s
+    ``out``).  The dense step thresholds in that buffer and then swaps
+    roles: the buffer becomes the iterate, the old iterate's storage the
+    next adjoint's buffer, so nothing is copied.  The result is the iterate
+    itself when it ends in a buffer of its own, and a copy only when it ends
+    in the block's row (made after the adjoint's buffer is freed), so a
+    caller keeping the result keeps no work block, and returning it adds no
+    n-vector to the peak.
     """
     if not hasattr(A, "matvec"):
         raise TypeError(f"fista needs an operator with shape, matvec(x, support=None), "
-                        f"rmatvec(y) and kron_factors(), got {type(A).__name__}")
+                        f"rmatvec(y, out=None) and kron_factors(), got {type(A).__name__}")
     y = np.asarray(y, dtype=np.complex128).ravel()
     if y.shape[0] != A.shape[0]:
         raise ValueError(f"y length {y.shape[0]} does not match operator rows {A.shape[0]}")
@@ -199,8 +206,10 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
     x, z = np.zeros((2, n), dtype=np.complex128)
     mag = np.empty(n)
     below = np.empty(n, dtype=bool)
-    # a screening operator writes every adjoint, full or screened, here
-    adj_buf = np.empty(n, dtype=np.complex128) if hasattr(A, "screened_rmatvec") else None
+    # every adjoint, full or screened, is written here; a dense step hands
+    # it to the iterate and takes the iterate's old storage in its place
+    adj_buf = np.empty(n, dtype=np.complex128)
+    screens = hasattr(A, "screened_rmatvec")
     # indices outside which x is zero and z is not read (its entries there
     # are zero in the dense loop but may be stale here); None while dense
     x_sup = z_sup = np.empty(0, dtype=np.intp)
@@ -226,7 +235,7 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
             if n_cand * SPARSE_SHARE > n:
                 rows = None
         if rows is None:
-            v = A.rmatvec(r) if adj_buf is None else A.rmatvec(r, out=adj_buf)
+            v = A.rmatvec(r, out=adj_buf)
             n_cand = _gradient_step(v, z, z_sup, z_sup, neg_two_step, thresh, mag, below)
         del r
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2)) / 2.0
@@ -237,12 +246,13 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
             np.subtract(v, x, out=z)
             np.multiply(beta, z, out=z)
             np.add(v, z, out=z)
-            np.copyto(x, v)
+            # x_new becomes the iterate, the old iterate's storage the buffer
+            x, adj_buf = adj_buf, x
             del v
             x_sup = z_sup = None
             screen = False
             ax_new = A.matvec(x)
-            np.abs(x, out=mag)
+            l1 = np.sum(np.abs(x, out=mag))
         else:
             is_cand = np.logical_not(below[:v.size], out=below[:v.size])
             cand = np.flatnonzero(is_cand)
@@ -269,21 +279,23 @@ def fista(A, y, cfg: FistaConfig) -> FistaResult:
             np.add(x_moved, dx, out=dx)
             z[moved] = dx
             x_sup, z_sup = cand, moved
-            screen = adj_buf is not None
+            screen = screens
             ax_new = A.matvec(x, support=cand)
-            # the l1 term sums a dense zero-padded |x|, as the dense loop
-            # does, so the pairwise summation order is the same
-            mag.fill(0.0)
-            mag[cand] = np.abs(x_cand)
+            # x is zero off the candidates, which run in index order
+            l1 = np.sum(np.abs(x_cand))
         az = ax_new + beta * (ax_new - ax)
         ax, t_momentum = ax_new, t_new
-        obj = float(np.linalg.norm(y - ax) ** 2 + cfg.lam * np.sum(mag))
+        obj = float(np.linalg.norm(y - ax) ** 2 + cfg.lam * l1)
         trace.append(obj)
         if abs(trace[-2] - obj) <= cfg.tol * max(abs(trace[-2]), 1e-30):
             converged = True
             break
-    # a copy, so that a caller keeping the result does not keep the block;
-    # the adjoint's buffer goes first, so that the copy does not raise the peak
+    if x.base is None:
+        # x lives in the buffer a dense step handed it, which nothing else holds
+        return FistaResult(x, trace, it, converged)
+    # x is a row of the block: a copy, so that a caller keeping the result
+    # does not keep the block; the buffer goes first, so that the copy does
+    # not raise the peak
     del adj_buf
     return FistaResult(x.copy(), trace, it, converged)
 
@@ -419,9 +431,12 @@ class StackedGridOperator:
         g = self.grid
         out = np.zeros((self.n_rhs, self.t_prime, self.m_bs), dtype=np.complex128)
         bounds = np.searchsorted(support, np.arange(self.n_rhs + 1) * g.size)
-        aod, aoa = np.divmod(support % g.size, g.n_aoa)
-        cols_p = self.G_P[:, aod]
-        cols_q = (self.G_Q[:, aoa] * x[support]).T
+        aod, aoa = np.divmod(support, g.n_aoa)
+        aod %= g.n_aod
+        cols_p = np.take(self.G_P, aod, axis=1)
+        cols_q = np.take(self.G_Q, aoa, axis=1)
+        cols_q *= np.take(x, support)
+        cols_q = cols_q.T
         for u in range(self.n_rhs):
             lo, hi = bounds[u], bounds[u + 1]
             if lo < hi:

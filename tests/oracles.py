@@ -22,8 +22,8 @@ class MatrixOperator:
     def matvec(self, x, support=None):
         return self.M @ x
 
-    def rmatvec(self, y):
-        return self.M.conj().T @ y
+    def rmatvec(self, y, out=None):
+        return np.matmul(self.M.conj().T, y, out=out)
 
     def kron_factors(self) -> tuple[np.ndarray]:
         """(M,): a dense matrix is its own single factor."""

@@ -397,3 +397,69 @@ class TestCheckUniquenessCli:
         path.write_text(json.dumps({**TINY, "paths_per_user": [1] * 21}))
         assert cli.main(["check-uniqueness", str(path)]) == 1
         assert "exhaustive search limit" in capsys.readouterr().err
+
+
+class TestConfigErrorsCli:
+    """A config that cannot be read or holds a bad key or value is a usage
+    error: one stderr line naming the path and the key or value, exit 2."""
+
+    @pytest.fixture
+    def no_sweep(self, monkeypatch):
+        swept = []
+        monkeypatch.setattr(bench, "run_sweep", lambda *args, **kwargs: swept.append(1) or [])
+        return swept
+
+    def usage_error(self, capsys, argv, command, path, message):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"cpchan {command}: error: {path}: {message}\n"
+
+    def test_negative_seed(self, tmp_path, capsys, no_sweep):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(TINY))
+        self.usage_error(capsys, ["run", str(path), "--seed", "-1"], "run", path,
+                         "seed must be a non-negative integer, got -1")
+        assert not no_sweep
+
+    def test_unknown_key(self, tmp_path, capsys, no_sweep):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "bogus": 3}))
+        self.usage_error(capsys, ["run", str(path)], "run", path,
+                         "unknown config keys: ['bogus']")
+        assert not no_sweep
+
+    def test_check_uniqueness_bad_value(self, tmp_path, capsys, monkeypatch):
+        checked = []
+        monkeypatch.setattr(bench, "draw_scene", lambda *args: checked.append(1))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "t": 1}))
+        self.usage_error(capsys, ["check-uniqueness", str(path)], "check-uniqueness", path,
+                         "t must be at least 2 for identifiability, got 1")
+        valid = tmp_path / "valid.json"
+        valid.write_text(json.dumps(TINY))
+        self.usage_error(capsys, ["check-uniqueness", str(valid), "--seed=-3"],
+                         "check-uniqueness", valid,
+                         "seed must be a non-negative integer, got -3")
+        assert not checked
+
+    def test_unreadable_file_and_malformed_json(self, tmp_path, capsys, no_sweep):
+        missing = tmp_path / "missing.json"
+        self.usage_error(capsys, ["run", str(missing)], "run", missing,
+                         f"[Errno 2] No such file or directory: {str(missing)!r}")
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"n_bs": 8,')
+        assert cli.main(["check-uniqueness", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cpchan check-uniqueness: error: {broken}: Expecting")
+        assert err.count("\n") == 1
+        assert not no_sweep
+
+    def test_errors_of_a_valid_run_propagate(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("raised inside the sweep")
+
+        monkeypatch.setattr(bench, "run_sweep", failing)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(TINY))
+        with pytest.raises(ValueError, match="inside the sweep"):
+            cli.main(["run", str(path), "--seed", "4"])

@@ -74,8 +74,8 @@ class ScaledColumnsOperator:
     def matvec(self, x, support=None):
         return self.op.matvec(x * self.scales)
 
-    def rmatvec(self, y):
-        return self.scales * self.op.rmatvec(y)
+    def rmatvec(self, y, out=None):
+        return np.multiply(self.scales, self.op.rmatvec(y), out=out)
 
 
 def loop_solve_cs(prob):

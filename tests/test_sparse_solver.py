@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from cpchan.channel_recovery import FISTA_MAX_ITERS, FISTA_TOL, LAMBDA_SCALE
 from cpchan.channel_sim import assemble_all, sample_channel
-from cpchan.cs_baseline import PilotKronOperator
+from cpchan.cs_baseline import PilotKronOperator, assemble_problem
+from cpchan.measurement import simulate
 from cpchan.sparse_solver import (
     SPARSE_SHARE,
     SUPPORT_SHARE,
@@ -320,6 +321,16 @@ def screening_op(shape):
     return StackedGridOperator(small_design(seed=50, m_bs=8, t_prime=8), AngleGrid(32, 16), 3)
 
 
+@functools.cache
+def pilot_op(shape):
+    """The CS baseline's operator at table1 (8 users on 4 pilot slots, the
+    128x64 grid) or a small one (3 users on 2 slots)."""
+    if shape == "table1":
+        return PilotKronOperator(table1_design(), AngleGrid(128, 64))
+    return PilotKronOperator(build_design(np.random.default_rng(13), 16, 8, 6, 5, 2, (1, 1, 1)),
+                             AngleGrid(32, 16))
+
+
 class TestScreenedAdjoint:
     """screened_rmatvec against rmatvec: the kept rows bit for bit, and no
     skipped row that the scale can lift above the floor."""
@@ -346,12 +357,13 @@ class TestScreenedAdjoint:
 
     @pytest.mark.parametrize("shape", ["table1", "small"])
     def test_rmatvec_into_a_buffer_is_rmatvec_bitwise(self, shape):
-        op = screening_op(shape)
-        rng = np.random.default_rng(57)
-        y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
-        buf = np.empty(op.shape[1], dtype=np.complex128)
-        got = op.rmatvec(y, out=buf)
-        assert np.shares_memory(got, buf) and same_bits(got, op.rmatvec(y))
+        # fista writes every adjoint, the pilot-mixed one included, into one buffer
+        for op in (screening_op(shape), pilot_op(shape)):
+            rng = np.random.default_rng(57)
+            y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+            buf = np.empty(op.shape[1], dtype=np.complex128)
+            got = op.rmatvec(y, out=buf)
+            assert np.shares_memory(got, buf) and same_bits(got, op.rmatvec(y))
 
     @pytest.mark.parametrize("shape", ["table1", "small"])
     def test_single_row_is_padded_to_two(self, shape):
@@ -441,7 +453,8 @@ def allocating_fista(op, y, cfg):
     """Reference FISTA loop that allocates every temporary afresh; the
     buffered solver must reproduce it bit for bit.  Like the solver, it gives
     the forward product the iterate's support as a hint when the candidates
-    are few enough for support tracking.  Also returns, per iteration, the
+    are few enough for support tracking, and then sums the l1 term over those
+    candidates alone, in index order.  Also returns, per iteration, the
     number of candidates: gradient-step entries the soft threshold does not
     zero by the |v| <= lam * step test."""
     y = np.asarray(y, dtype=np.complex128).ravel()
@@ -457,18 +470,21 @@ def allocating_fista(op, y, cfg):
     for it in range(1, cfg.max_iters + 1):
         grad = 2.0 * op.rmatvec(az - y)
         v = z - step * grad
-        candidates.append(int(np.count_nonzero(~(np.abs(v) <= cfg.lam * step))))
+        cand = np.flatnonzero(~(np.abs(v) <= cfg.lam * step))
+        candidates.append(cand.size)
         x_new = soft_threshold(v, cfg.lam * step)
-        if candidates[-1] * SPARSE_SHARE <= op.shape[1]:
+        if cand.size * SPARSE_SHARE <= op.shape[1]:
             ax_new = op.matvec(x_new, support=np.flatnonzero(x_new))
+            l1 = np.sum(np.abs(x_new[cand]))
         else:
             ax_new = op.matvec(x_new)
+            l1 = np.sum(np.abs(x_new))
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2)) / 2.0
         beta = (t_momentum - 1.0) / t_new
         z = x_new + beta * (x_new - x)
         az = ax_new + beta * (ax_new - ax)
         x, ax, t_momentum = x_new, ax_new, t_new
-        obj = float(np.linalg.norm(y - ax) ** 2 + cfg.lam * np.sum(np.abs(x)))
+        obj = float(np.linalg.norm(y - ax) ** 2 + cfg.lam * l1)
         trace.append(obj)
         if abs(trace[-2] - obj) <= cfg.tol * max(abs(trace[-2]), 1e-30):
             break
@@ -564,6 +580,23 @@ class TestFista:
         kept, total = np.array(screened_rows).T
         assert kept.size > FISTA_MAX_ITERS // 2 and np.all(kept < total)
 
+    def test_table1_cs_problem_matches_reference_bitwise(self, support_products):
+        # the CS baseline's solve at table1 size: 8 users on 4 pilot slots,
+        # the 128x64 grid and the universal lambda at 30 dB, capped at 400
+        # iterations; dense steps come first, then support tracking, and
+        # the support drops to the grid operator's support product near
+        # iteration 350
+        rng = np.random.default_rng(66)
+        design = table1_design()
+        channel = sample_channel(rng, 8, [1, 1, 1, 2, 2, 2, 2, 2], 64, 32)
+        prob = assemble_problem(simulate(channel, design, 30.0, rng), design,
+                                AngleGrid(128, 64))
+        op = prob.operator
+        cfg = FistaConfig(lam=universal_lambda(prob.noise_std, op.shape[1]), max_iters=400)
+        sparse = assert_matches_reference(op, prob.y, cfg)
+        assert not sparse[0] and sparse.any()
+        assert support_products, "no iteration ran the support product"
+
     def test_pilot_kron_and_matrix_solves_never_screen(self, screened_rows):
         rng = np.random.default_rng(37)
         design = build_design(rng, 16, 8, 6, 5, 3, (1, 1, 1))
@@ -604,11 +637,20 @@ class TestFista:
         np.testing.assert_allclose(res.x, soft_threshold(y, 0.5), atol=1e-8)
 
     def test_result_owns_its_iterate(self):
-        # a view of the solver's work block would keep its momentum half alive
+        # after an even number of dense steps the iterate is a row of the
+        # solver's x/z block, returned as a copy (a view would keep the
+        # momentum half alive); after an odd number it is the adjoint buffer
+        # a dense step swapped in, returned as it is
         rng = np.random.default_rng(24)
-        A = rng.standard_normal((12, 30)) + 1j * rng.standard_normal((12, 30))
-        res = fista(MatrixOperator(A), A[:, 4], FistaConfig(lam=0.1, max_iters=20))
-        assert res.x.base is None
+        A = MatrixOperator(rng.standard_normal((12, 30)) + 1j * rng.standard_normal((12, 30)))
+        y = A.M[:, 4]
+        for lam, dense_steps in ((0.1, 20), (5.0, 15), (100.0, 0)):
+            cfg = FistaConfig(lam=lam, max_iters=20)
+            assert np.count_nonzero(~assert_matches_reference(A, y, cfg)) == dense_steps
+            first, second = fista(A, y, cfg).x, fista(A, y, cfg).x
+            assert first.base is None and first.flags.owndata
+            assert second.base is None and second.flags.owndata
+            assert not np.shares_memory(first, second)
 
     def test_long_run_reaches_self_oracle_gap(self):
         # solution after few iterations vs. a long run of the same solver:
