@@ -24,9 +24,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import channel_recovery, cs_baseline
+from . import channel_recovery, cp_als, cs_baseline
 from .channel_sim import sample_channel
-from .cp_als import AlsConfig
 from .measurement import simulate
 from .sparse_solver import AngleGrid
 from .training_design import build_design, check_uniqueness
@@ -50,6 +49,10 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 # fixed factor per method; the CPF refinement's factor is
 # channel_recovery.CPF_OVERSAMPLING
 CS_OVERSAMPLING = {"cs_grid1": 1, "cs_grid2": 2}
+
+# rises of the mean NMSE between adjacent sweep points that the trend check
+# forgives as Monte-Carlo noise
+ALLOWED_INVERSIONS = 1
 
 
 def _is_finite_real(v) -> bool:
@@ -85,7 +88,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for key in ("sweep_values", "methods"):
-            object.__setattr__(self, key, tuple(getattr(self, key)))
+            v = getattr(self, key)
+            if not isinstance(v, (list, tuple)):
+                raise ValueError(f"{key} must be a list, got {v!r}")
+            object.__setattr__(self, key, tuple(v))
         v = self.paths_per_user  # the only description of the users
         if not (isinstance(v, (list, tuple)) and v and all(_is_count(n) for n in v)):
             raise ValueError(f"paths_per_user must be a nonempty list of positive "
@@ -123,14 +129,13 @@ class ExperimentConfig:
                                  f"identifiability, got {v!r}")
         if not self.methods:
             raise ValueError(f"methods must be nonempty, got {self.methods!r}")
-        unknown = set(self.methods) - set(KNOWN_METHODS)
+        unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
+            raise ValueError(f"unknown methods: {unknown}")
         # rank-estimating ALS reports at most its component budget
-        budget = AlsConfig().k_upper
-        if "cpf_regularized" in self.methods and self.total_paths > budget:
-            raise ValueError(f"cpf_regularized estimates at most {budget} paths "
-                             f"(AlsConfig.k_upper), but paths_per_user totals {self.total_paths}")
+        if "cpf_regularized" in self.methods and self.total_paths > cp_als.K_UPPER:
+            raise ValueError(f"cpf_regularized estimates at most {cp_als.K_UPPER} paths "
+                             f"(cp_als.K_UPPER), but paths_per_user totals {self.total_paths}")
         # a repeat would run its trials twice and count them twice; sweep
         # values compare as at_point pins them
         pinned = [float(v) if snr else int(v) for v in self.sweep_values]
@@ -172,6 +177,8 @@ class ExperimentConfig:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
+    if not isinstance(d, dict):
+        raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
     unknown = set(d) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -222,7 +229,7 @@ def _trial_seed(root: int, point_idx: int, trial: int) -> np.random.SeedSequence
 
 def _pipeline_config(cfg: ExperimentConfig, known_rank: int | None, als_seed: int):
     # the refinement grid follows the design's arrays, so ``cfg`` goes unread
-    return channel_recovery.PipelineConfig(als=AlsConfig(seed=als_seed), known_rank=known_rank)
+    return channel_recovery.PipelineConfig(seed=als_seed, known_rank=known_rank)
 
 
 def point_indices(cfg: ExperimentConfig) -> range:
@@ -389,15 +396,14 @@ def mean_nmse_by_point(rows: list[ResultRow], method: str) -> dict[float, float]
     return out
 
 
-def monotone_trend_ok(rows: list[ResultRow], method: str = "cpf_regularized",
-                      allowed_inversions: int = 1) -> bool:
-    """Mean NMSE non-increasing over ascending sweep values, with slack for
-    Monte-Carlo noise at adjacent points.  A point without a mean (every
-    trial failed) fails the check."""
+def monotone_trend_ok(rows: list[ResultRow], method: str = "cpf_regularized") -> bool:
+    """Mean NMSE non-increasing over ascending sweep values, with slack of
+    ALLOWED_INVERSIONS rises between adjacent points for Monte-Carlo noise.
+    A point without a mean (every trial failed) fails the check."""
     if any(r.method == f"summary:{method}" and r.nmse is None for r in rows):
         return False
     means = mean_nmse_by_point(rows, method)
     values = sorted(means)
     inversions = sum(
         1 for a, b in zip(values, values[1:]) if means[b] > means[a])
-    return inversions <= allowed_inversions
+    return inversions <= ALLOWED_INVERSIONS

@@ -228,20 +228,19 @@ def score_against_truth(
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    grid: AngleGrid | None = None       # None: the design's arrays x CPF_OVERSAMPLING
-    als: cp_als.AlsConfig = cp_als.AlsConfig()
+    seed: int = 0                       # seeds the ALS stage's random start
     known_rank: int | None = None       # run fixed-rank ALS when set
 
 
 def refine_channels(
     Z: np.ndarray,
     design: TrainingDesign,
-    cfg: PipelineConfig,
     noise_std: float,
 ) -> tuple[list[np.ndarray], bool]:
     """Sparse AoA/AoD recovery of every user's channel from its compressed image.
 
-    Column u of ``Z`` is vec(A_Q_u A_P_u^T) for user u.  With
+    Column u of ``Z`` is vec(A_Q_u A_P_u^T) for user u.  The grid is the
+    design's arrays oversampled CPF_OVERSAMPLING times in each angle.  With
     noise, one batched l1 solve (FISTA) and a debias refit per user recover
     the grid supports; noiseless images go straight to orthogonal matching
     pursuit.  Returns the per-user channel matrices and whether the l1 solve
@@ -249,9 +248,7 @@ def refine_channels(
     """
     Z = np.asfortranarray(Z, dtype=np.complex128)
     n_users = Z.shape[1]
-    grid = cfg.grid
-    if grid is None:
-        grid = AngleGrid(CPF_OVERSAMPLING * design.n_bs, CPF_OVERSAMPLING * design.n_ms)
+    grid = AngleGrid(CPF_OVERSAMPLING * design.n_bs, CPF_OVERSAMPLING * design.n_ms)
     # all users share the dictionary, so one block-diagonal operator serves
     # every user: one batched FISTA run, or one batched adjoint for OMP
     op = StackedGridOperator(design, grid, n_users)
@@ -280,7 +277,10 @@ def estimate_all(
     cfg: PipelineConfig | None = None,
     channel_truth: GeometricChannel | None = None,
 ) -> EstimationResult:
-    """Full pipeline: CP decomposition, ambiguity resolution, grid refinement."""
+    """Full pipeline: CP decomposition, ambiguity resolution, grid refinement.
+
+    ``cfg`` sets only the ALS seed and, with ``known_rank``, the fixed-rank
+    solver; the refinement grid follows the design's arrays."""
     cfg = cfg or PipelineConfig()
     if design.t < 2 or krank(design.S) < 2:
         raise ValueError("pilot matrix has k-rank < 2; the decomposition cannot be unique")
@@ -288,9 +288,9 @@ def estimate_all(
 
     Y = measurement.y
     if cfg.known_rank is not None:
-        res = cp_als.als_known_rank(Y, cfg.known_rank, cfg.als)
+        res = cp_als.als_known_rank(Y, cfg.known_rank, cfg.seed)
     else:
-        res = cp_als.als_regularized(Y, cfg.als)
+        res = cp_als.als_regularized(Y, cfg.seed)
     # a component with a zero pilot-mode column adds nothing to any channel
     live = np.any(res.factors.C, axis=0)
     resolution = resolve_ambiguity(res.factors.C[:, live], design.S)
@@ -303,8 +303,7 @@ def estimate_all(
     assigned = [resolution.assignment == u for u in range(design.n_users)]
     Z = np.stack(
         [(A_snap[:, m] @ B_snap[:, m].T).ravel(order="F") for m in assigned], axis=1)
-    channels, solver_converged = refine_channels(
-        Z, design, cfg, noise_std_per_entry(measurement))
+    channels, solver_converged = refine_channels(Z, design, noise_std_per_entry(measurement))
 
     runtime = time.perf_counter() - t0
     nmse_total, nmse_users = score_against_truth(channel_truth, channels)

@@ -47,8 +47,7 @@ other stage extrapolates.  The known-rank warm-up stops at WARMUP_ITERS
 sweeps, so its end point depends on its path, and doubled steps there moved
 the known-rank estimates.  The exact-LS stages do not converge within their
 sweep budgets on table1 either way (the polish stops at POLISH_ITERS, the
-known-rank main stage at AlsConfig.max_iters), so doubled steps there only
-cost time.
+known-rank main stage at MAX_ITERS), so doubled steps there only cost time.
 
 The polish stops by a sweep count, not by a tolerance: on table1 its
 objective's relative decrease per sweep stays above 1e-8 for 1000 sweeps, and
@@ -62,13 +61,13 @@ input's scale), and returns factors that fit Y itself, with C carrying ||Y||.
 Callers pass the measurement tensor as it is.
 
 A run without a given starting point starts from one random draw seeded by
-AlsConfig.seed.  Starts are deliberately not picked by objective: under the
-ridge penalty a fit that merges two paths into one component costs less, so
-the lowest objective under-counts the rank.  Both entry points record
-an objective trace on the unit-norm copy (fit, plus the trace penalty for the
-ridge stage) that is non-increasing by construction: every update is an
-exact minimizer of its subproblem, and a doubled step is kept only when it
-lowers the objective.
+the entry point's ``seed`` argument.  Starts are deliberately not picked by
+objective: under the ridge penalty a fit that merges two paths into one
+component costs less, so the lowest objective under-counts the rank.  Both
+entry points record an objective trace on the unit-norm copy (fit, plus the
+trace penalty for the ridge stage) that is non-increasing by construction:
+every update is an exact minimizer of its subproblem, and a doubled step is
+kept only when it lowers the objective.
 """
 
 from __future__ import annotations
@@ -80,6 +79,9 @@ import numpy as np
 from .tensor_core import ComplexTensor3, FactorTriple, compose, frobenius_norm, khatri_rao, unfold
 
 RIDGE_FLOOR = 1e-12        # relative floor on the Gram diagonal for numerical safety
+MAX_ITERS = 1000           # sweep budget of every ALS stage
+TOL = 1e-6                 # stop once the stacked factors move by less than this share
+K_UPPER = 26               # rank-estimating solver's component budget, ~2x table1's 13 paths
 WARMUP_ITERS = 200         # ridge warm-up sweep budget for the known-rank solver
 # exact-LS polish sweep budget after the rank decision: paths of one user share
 # a pilot column, so only each user's block is determined and the polish
@@ -92,22 +94,6 @@ PRUNE_THRESHOLD = 1e-2     # drop components below this share of the largest ene
 # than this share; earlier, while components are still sorting, they can carry
 # a weak component into another basin and change the rank
 EXTRAPOLATE_BELOW = 1e-2
-
-
-@dataclass(frozen=True)
-class AlsConfig:
-    max_iters: int = 1000
-    tol: float = 1e-6          # relative change of stacked factors
-    k_upper: int = 26          # regularized solver's component budget, ~2x table1's 13 paths
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.k_upper < 1:
-            raise ValueError("k_upper must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -177,13 +163,14 @@ def _with_dead_columns(M: np.ndarray, live: np.ndarray, rank: int) -> np.ndarray
 def _als_core(
     Y: ComplexTensor3,
     rank: int,
-    cfg: AlsConfig,
+    max_iters: int,
+    seed: int,
     mu: float,
     init: FactorTriple | None = None,
     extrapolate: bool = False,
 ) -> CpResult:
     """ALS sweeps from ``init`` (or the seeded random start) until the factors
-    move by less than cfg.tol or cfg.max_iters sweeps have run.
+    move by less than TOL or ``max_iters`` sweeps have run.
 
     A component whose C column is all zero at the start of a sweep is dropped
     from the sweeps; the returned factors hold zero columns in its place.
@@ -197,7 +184,7 @@ def _als_core(
     if init is not None:
         A, B, C = init.A.copy(), init.B.copy(), init.C.copy()
     else:
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         A, B, C = _init_factors(rng, Y.dims, rank)
     live = np.arange(rank)     # the stage's components still swept
     eye = np.eye(rank)
@@ -205,7 +192,7 @@ def _als_core(
     trace = [_objective(Y, A, B, C, mu)]
     converged = False
     it = 0
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, max_iters + 1):
         zero = ~np.any(C, axis=0)
         if np.any(zero):
             # its rows and columns of every Hadamard Gram and its right-hand
@@ -234,8 +221,8 @@ def _als_core(
         num = sum(np.linalg.norm(M - Mp) for M, Mp in zip((A, B, C), prev))
         den = sum(np.linalg.norm(M) for M in prev) + 1e-30
         change = num / den
-        converged = change < cfg.tol
-        if extrapolate and live.size < rank and cfg.tol <= change < EXTRAPOLATE_BELOW:
+        converged = change < TOL
+        if extrapolate and live.size < rank and TOL <= change < EXTRAPOLATE_BELOW:
             step, grams, step_obj = _doubled_step(Y3t, mu, (A, B, C), prev)
             if step_obj < obj:
                 (A, B, C), (_, GB, GC), obj = step, grams, step_obj
@@ -310,7 +297,7 @@ def _at_scale(F: FactorTriple, scale: float) -> FactorTriple:
     return FactorTriple(F.A, F.B, F.C * scale)
 
 
-def als_known_rank(Y: ComplexTensor3, L: int, cfg: AlsConfig | None = None) -> CpResult:
+def als_known_rank(Y: ComplexTensor3, L: int, seed: int = 0) -> CpResult:
     """ALS fit with a fixed number of rank-one components.
 
     Initialization compares two candidates and keeps the better-fitting
@@ -324,9 +311,7 @@ def als_known_rank(Y: ComplexTensor3, L: int, cfg: AlsConfig | None = None) -> C
     if L < 1:
         raise ValueError("rank must be >= 1")
     Yn, scale = _unit_norm(Y)
-    cfg = cfg or AlsConfig()
-    warm_cfg = replace(cfg, max_iters=min(cfg.max_iters, WARMUP_ITERS))
-    init = _als_core(Yn, L, warm_cfg, mu=MU).factors
+    init = _als_core(Yn, L, min(MAX_ITERS, WARMUP_ITERS), seed, mu=MU).factors
     # the pencil init is exact on clean identifiable data but fragile under
     # noise at high rank; keep whichever starting point already fits better
     pencil = _gevd_init(Yn, L)
@@ -334,7 +319,7 @@ def als_known_rank(Y: ComplexTensor3, L: int, cfg: AlsConfig | None = None) -> C
         if _objective(Yn, pencil.A, pencil.B, pencil.C, 0.0) < _objective(
                 Yn, init.A, init.B, init.C, 0.0):
             init = pencil
-    res = _als_core(Yn, L, cfg, mu=0.0, init=init)
+    res = _als_core(Yn, L, MAX_ITERS, seed, mu=0.0, init=init)
     return replace(res, factors=_at_scale(res.factors, scale))
 
 
@@ -354,7 +339,7 @@ def prune_components(F: FactorTriple, threshold: float) -> tuple[FactorTriple, n
     return FactorTriple(F.A[:, keep], F.B[:, keep], F.C[:, keep]), keep
 
 
-def als_regularized(Y: ComplexTensor3, cfg: AlsConfig | None = None) -> CpResult:
+def als_regularized(Y: ComplexTensor3, seed: int = 0) -> CpResult:
     """Rank-estimating ALS with a trace-norm style ridge on all factors.
 
     After the ridge stage converges and negligible components are pruned,
@@ -365,12 +350,10 @@ def als_regularized(Y: ComplexTensor3, cfg: AlsConfig | None = None) -> CpResult
     convergence and trace cover the ridge stage, whose objective the sweeps
     minimize monotonically; ``polish_sweeps`` counts the polish's sweeps.
     """
-    cfg = cfg or AlsConfig()
     Yn, scale = _unit_norm(Y)
-    res = _als_core(Yn, cfg.k_upper, cfg, mu=MU, extrapolate=True)
+    res = _als_core(Yn, K_UPPER, MAX_ITERS, seed, mu=MU, extrapolate=True)
     pruned, keep = prune_components(res.factors, PRUNE_THRESHOLD)
     rank = int(np.sum(keep))
-    polish_cfg = replace(cfg, max_iters=min(cfg.max_iters, POLISH_ITERS))
-    polish = _als_core(Yn, rank, polish_cfg, mu=0.0, init=pruned)
+    polish = _als_core(Yn, rank, min(MAX_ITERS, POLISH_ITERS), seed, mu=0.0, init=pruned)
     return replace(res, factors=_at_scale(polish.factors, scale), estimated_rank=rank,
                    polish_sweeps=polish.iterations)

@@ -112,20 +112,21 @@ def assemble_problem(
 
 def solve_cs(
     prob: CsProblem,
-    cfg: FistaConfig | None = None,
     lambda_scale: float = 1.0,
     channel_truth: GeometricChannel | None = None,
 ) -> CsResult:
-    """FISTA on the unit-column operator, per-user support refit, reassembly."""
+    """FISTA on the unit-column operator, per-user support refit, reassembly.
+
+    With noise, λ is ``lambda_scale`` times the universal threshold; a
+    noiseless problem takes λ = 1e-8 max|Aᴴy|.  FISTA runs with its default
+    budget, tolerance and step."""
     t0 = time.perf_counter()
     op = prob.operator
-    if cfg is None:
-        if prob.noise_std > 0.0:
-            lam = universal_lambda(prob.noise_std, op.shape[1], lambda_scale)
-        else:
-            lam = max(1e-8 * float(np.max(np.abs(op.rmatvec(prob.y)))), 1e-300)
-        cfg = FistaConfig(lam=lam)
-    sol = fista(op, prob.y, cfg)
+    if prob.noise_std > 0.0:
+        lam = universal_lambda(prob.noise_std, op.shape[1], lambda_scale)
+    else:
+        lam = max(1e-8 * float(np.max(np.abs(op.rmatvec(prob.y)))), 1e-300)
+    sol = fista(op, prob.y, FistaConfig(lam=lam))
 
     design, grid = prob.design, prob.grid
     norms = op.atom_norms().reshape(grid.size, design.n_users, order="F")

@@ -87,8 +87,8 @@ class FistaConfig:
     step: float | None = None  # None -> 1 / (2 sigma_max^2) from kron_factors()
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.tol >= 0:

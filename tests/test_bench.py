@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpchan import bench, channel_recovery, cli, training_design
+from cpchan import bench, channel_recovery, cli, cp_als, training_design
 from cpchan.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -22,7 +22,6 @@ from cpchan.bench import (
     run_sweep,
     run_trial,
 )
-from cpchan.cp_als import AlsConfig
 from cpchan.training_design import check_uniqueness
 
 TINY = dict(
@@ -143,7 +142,7 @@ class TestConfig:
         assert ExperimentConfig(**TINY).total_paths == 2
 
     def test_path_count_above_the_rank_budget_is_named(self):
-        budget = AlsConfig().k_upper
+        budget = cp_als.K_UPPER
         over = {**TINY, "paths_per_user": (1,) * (budget + 1)}
         with pytest.raises(ValueError, match=rf"cpf_regularized.*\b{budget}\b.*\b{budget + 1}$"):
             ExperimentConfig(**over, methods=("cpf_known_L", "cpf_regularized"))
@@ -179,9 +178,11 @@ class TestConfig:
 class TestRunTrial:
     def test_harness_runs_the_library_als_budget(self):
         # the harness and a caller of estimate_all with the default config
-        # run ALS with the same settings; only the seed is per trial
-        pcfg = bench._pipeline_config(ExperimentConfig(**TINY), None, 0)
-        assert dataclasses.replace(pcfg.als, seed=0) == AlsConfig(seed=0)
+        # run the same pipeline; only the seed is per trial
+        cfg = ExperimentConfig(**TINY)
+        assert bench._pipeline_config(cfg, None, 0) == channel_recovery.PipelineConfig()
+        assert bench._pipeline_config(cfg, 2, 7) == channel_recovery.PipelineConfig(
+            seed=7, known_rank=2)
 
     def test_cs_methods_solve_on_their_oversampled_grids(self, monkeypatch):
         grids = []
@@ -347,14 +348,16 @@ class TestTrendHelper:
                           sweep_value=v, trial=-1, seed=0, nmse=n)
                 for v, n in means.items()]
 
-    def test_monotone_passes(self):
+    def test_monotone_passes(self, monkeypatch):
         rows = self.rows_from_means({0.0: 1.0, 10.0: 0.1, 20.0: 0.01})
-        assert monotone_trend_ok(rows, "m", allowed_inversions=0)
+        monkeypatch.setattr(bench, "ALLOWED_INVERSIONS", 0)
+        assert monotone_trend_ok(rows, "m")
 
-    def test_single_inversion_tolerated_by_default(self):
+    def test_single_inversion_tolerated_by_default(self, monkeypatch):
         rows = self.rows_from_means({0.0: 1.0, 10.0: 0.2, 15.0: 0.25, 20.0: 0.01})
         assert monotone_trend_ok(rows, "m")
-        assert not monotone_trend_ok(rows, "m", allowed_inversions=0)
+        monkeypatch.setattr(bench, "ALLOWED_INVERSIONS", 0)
+        assert not monotone_trend_ok(rows, "m")
 
     def test_rising_trend_fails(self):
         rows = self.rows_from_means({0.0: 0.01, 10.0: 0.1, 20.0: 1.0})
@@ -441,6 +444,27 @@ class TestConfigErrorsCli:
                          "check-uniqueness", valid,
                          "seed must be a non-negative integer, got -3")
         assert not checked
+
+    @pytest.mark.parametrize("command", ["run", "check-uniqueness"])
+    @pytest.mark.parametrize("content, message", [
+        ([], "config must be a JSON object, got list"),
+        (42, "config must be a JSON object, got int"),
+        ({**TINY, "methods": 5}, "methods must be a list, got 5"),
+        ({**TINY, "methods": None}, "methods must be a list, got None"),
+        ({**TINY, "sweep_values": 5}, "sweep_values must be a list, got 5"),
+        ({**TINY, "sweep_variable": "snr_db", "sweep_values": None},
+         "sweep_values must be a list, got None"),
+        ({**TINY, "methods": [["cs_grid1"]]}, "unknown methods: [['cs_grid1']]"),
+        ({**TINY, "methods": [1, "cs_grid9"]}, "unknown methods: [1, 'cs_grid9']"),
+    ], ids=["list", "number", "methods-number", "methods-null", "sweep_values-number",
+            "sweep_values-null", "method-list", "method-number"])
+    def test_config_of_the_wrong_shape(self, tmp_path, capsys, monkeypatch, no_sweep,
+                                       command, content, message):
+        monkeypatch.setattr(bench, "draw_scene", lambda *args: no_sweep.append(1))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(content))
+        self.usage_error(capsys, [command, str(path)], command, path, message)
+        assert not no_sweep
 
     def test_unreadable_file_and_malformed_json(self, tmp_path, capsys, no_sweep):
         missing = tmp_path / "missing.json"

@@ -24,7 +24,6 @@ from cpchan.channel_sim import (
     sample_channel,
     steering_from_sin,
 )
-from cpchan.cp_als import AlsConfig
 from cpchan.measurement import simulate
 from cpchan.sparse_solver import (
     AngleGrid,
@@ -193,12 +192,12 @@ class TestEstimateUserChannel:
             return channel_from_grid(support, *args)
 
         monkeypatch.setattr(channel_recovery, "channel_from_grid", recording_channel_from_grid)
+        monkeypatch.setattr(channel_recovery, "CPF_OVERSAMPLING", 2)
         grid = AngleGrid(32, 16)
         channel, design = on_grid_scene(7, (2,), 16, 8, 16, 16, 2, grid)
         H_true = assemble_all(channel)[0]
         z = (design.Q.T @ H_true @ design.P).ravel(order="F")
-        cfg = PipelineConfig(grid=grid)
-        (H,), _ = refine_channels(z[:, None], design, cfg, noise_std=0.0)
+        (H,), _ = refine_channels(z[:, None], design, noise_std=0.0)
         assert nmse([H_true], [H]) < 1e-10
         assert [s.size for s in supports] == [2]
 
@@ -208,11 +207,12 @@ class TestEstimateUserChannel:
 
         monkeypatch.setattr(channel_recovery, "fista", unreachable)
         monkeypatch.setattr(channel_recovery, "top_singular_value", unreachable)
+        monkeypatch.setattr(channel_recovery, "CPF_OVERSAMPLING", 2)
         grid = AngleGrid(32, 16)
         channel, design = on_grid_scene(23, (1, 2), 16, 8, 16, 16, 2, grid)
         H_true = assemble_all(channel)
         Z = np.stack([(design.Q.T @ H @ design.P).ravel(order="F") for H in H_true], axis=1)
-        H, converged = refine_channels(Z, design, PipelineConfig(grid=grid), noise_std=0.0)
+        H, converged = refine_channels(Z, design, noise_std=0.0)
         assert nmse(H_true, H) < 1e-10
         assert converged
 
@@ -228,18 +228,18 @@ class TestEstimateUserChannel:
                 built.append(self.n_rhs)
 
         monkeypatch.setattr(channel_recovery, "StackedGridOperator", CountingOperator)
+        monkeypatch.setattr(channel_recovery, "CPF_OVERSAMPLING", 2)
         grid = AngleGrid(32, 16)
         channel, design = on_grid_scene(23, (1, 2), 16, 8, 16, 16, 2, grid)
         Z = np.stack([(design.Q.T @ H @ design.P).ravel(order="F")
                       for H in assemble_all(channel)], axis=1)
-        refine_channels(Z, design, PipelineConfig(grid=grid), noise_std)
+        refine_channels(Z, design, noise_std)
         assert built == [2]
 
     def test_zero_input_gives_zero_channel(self):
         rng = np.random.default_rng(8)
         design = build_design(rng, 16, 8, 6, 5, 2, (1, 1))
-        cfg = PipelineConfig(grid=AngleGrid(8, 8))
-        (H,), converged = refine_channels(np.zeros((30, 1)), design, cfg, noise_std=0.0)
+        (H,), converged = refine_channels(np.zeros((30, 1)), design, noise_std=0.0)
         np.testing.assert_array_equal(H, 0)
         assert converged
 
@@ -302,7 +302,7 @@ def reference_support_and_refit(op, z, x, noise_std):
     return candidates[selected][order], gains[order]
 
 
-def reference_refine_channels(Z, design, cfg, noise_std):
+def reference_refine_channels(Z, design, noise_std):
     """refine_channels on three operators: the physical block for the
     thresholds and refits, a unit block for the step size and the unit
     n_users stack for FISTA.  Noiseless images take the earlier algorithm:
@@ -310,31 +310,33 @@ def reference_refine_channels(Z, design, cfg, noise_std):
     the OMP candidates.  Returns channels, FISTA iterations, supports."""
     Z = np.asfortranarray(Z, dtype=np.complex128)
     n_users = Z.shape[1]
-    op = PhysicalGridBlock(design, cfg.grid)
+    k = channel_recovery.CPF_OVERSAMPLING
+    grid = AngleGrid(k * design.n_bs, k * design.n_ms)
+    op = PhysicalGridBlock(design, grid)
     z_all = Z.ravel(order="F")
-    step = 1.0 / (2.0 * top_singular_value(StackedGridOperator(design, cfg.grid)) ** 2)
+    step = 1.0 / (2.0 * top_singular_value(StackedGridOperator(design, grid)) ** 2)
     if noise_std > 0.0:
         fcfg = FistaConfig(
-            lam=universal_lambda(noise_std, cfg.grid.size, channel_recovery.LAMBDA_SCALE),
+            lam=universal_lambda(noise_std, grid.size, channel_recovery.LAMBDA_SCALE),
             max_iters=channel_recovery.FISTA_MAX_ITERS, tol=channel_recovery.FISTA_TOL,
             step=step)
     else:
         fcfg = FistaConfig(lam=max(1e-8 * float(np.max(np.abs(z_all))), 1e-300),
                            max_iters=1000, tol=1e-12, step=step)
-    sol = fista(StackedGridOperator(design, cfg.grid, n_users), z_all, fcfg)
-    X = sol.x.reshape(cfg.grid.size, n_users, order="F") / op.column_norms()[:, None]
+    sol = fista(StackedGridOperator(design, grid, n_users), z_all, fcfg)
+    X = sol.x.reshape(grid.size, n_users, order="F") / op.column_norms()[:, None]
     channels, supports = [], []
     for u in range(n_users):
         support, gains = reference_support_and_refit(op, Z[:, u], X[:, u], noise_std)
         supports.append(support)
-        channels.append(channel_from_grid(support, gains, cfg.grid, design.n_bs, design.n_ms))
+        channels.append(channel_from_grid(support, gains, grid, design.n_bs, design.n_ms))
     return channels, sol.iterations, supports
 
 
 class TestRefineChannelsParity:
     """The unit-column refinement against the physical-atom reference."""
 
-    def check(self, monkeypatch, Z, design, cfg, noise_std):
+    def check(self, monkeypatch, Z, design, noise_std):
         iterations, supports = [], []
 
         def recording_fista(*args):
@@ -346,11 +348,10 @@ class TestRefineChannelsParity:
             supports.append(support)
             return channel_from_grid(support, *args)
 
-        want, want_iterations, want_supports = reference_refine_channels(
-            Z, design, cfg, noise_std)
+        want, want_iterations, want_supports = reference_refine_channels(Z, design, noise_std)
         monkeypatch.setattr(channel_recovery, "fista", recording_fista)
         monkeypatch.setattr(channel_recovery, "channel_from_grid", recording_channel_from_grid)
-        got, _ = refine_channels(Z, design, cfg, noise_std)
+        got, _ = refine_channels(Z, design, noise_std)
         assert iterations == ([want_iterations] if noise_std > 0.0 else [])
         assert len(supports) == len(want_supports)
         for a, b in zip(supports, want_supports):
@@ -369,14 +370,16 @@ class TestRefineChannelsParity:
         noise_std = 0.05 * np.sqrt(np.mean(np.abs(Z) ** 2))
         Z = Z + noise_std * (rng.standard_normal(Z.shape)
                              + 1j * rng.standard_normal(Z.shape)) / np.sqrt(2)
-        self.check(monkeypatch, Z, design, PipelineConfig(grid=AngleGrid(64, 32)), noise_std)
+        # the 16x8 arrays refine on the (64, 32) grid
+        self.check(monkeypatch, Z, design, noise_std)
 
     def test_noiseless_multi_user_scene(self, monkeypatch):
+        monkeypatch.setattr(channel_recovery, "CPF_OVERSAMPLING", 2)
         grid = AngleGrid(32, 16)
         channel, design = on_grid_scene(22, (1, 2, 1), 16, 8, 8, 8, 3, grid)
         Z = np.stack([(design.Q.T @ H @ design.P).ravel(order="F")
                       for H in assemble_all(channel)], axis=1)
-        self.check(monkeypatch, Z, design, PipelineConfig(grid=grid), 0.0)
+        self.check(monkeypatch, Z, design, 0.0)
 
 
 class TestEstimateAll:
@@ -397,33 +400,41 @@ class TestEstimateAll:
         estimate_all(simulate(channel, design, 30.0, rng), design)
         assert grids and set(grids) == {(64, 32)}
 
-    def test_noiseless_pipeline_known_rank(self):
+    @pytest.fixture
+    def grid_2x(self, monkeypatch):
+        """The 32x16 scenes below refine on the 2x grid, (64, 32), that their
+        paths lie on."""
+        monkeypatch.setattr(channel_recovery, "CPF_OVERSAMPLING", 2)
+
+    def test_noiseless_pipeline_known_rank(self, monkeypatch, grid_2x):
+        monkeypatch.setattr(cp_als, "MAX_ITERS", 500)
+        monkeypatch.setattr(cp_als, "TOL", 1e-10)
         grid = AngleGrid(64, 32)
         channel, design = on_grid_scene(11, (1, 1, 1), 32, 16, 10, 10, 3, grid)
         meas = simulate(channel, design, None)
-        cfg = PipelineConfig(
-            grid=grid, als=AlsConfig(max_iters=500, tol=1e-10),
-            known_rank=3)
-        res = estimate_all(meas, design, cfg, channel)
+        res = estimate_all(meas, design, PipelineConfig(known_rank=3), channel)
         assert res.nmse_total < 1e-6
         np.testing.assert_array_equal(res.resolution.paths_per_user, [1, 1, 1])
 
-    def test_noiseless_pipeline_estimates_rank(self):
+    def test_noiseless_pipeline_estimates_rank(self, monkeypatch, grid_2x):
+        monkeypatch.setattr(cp_als, "K_UPPER", 10)
+        monkeypatch.setattr(cp_als, "MAX_ITERS", 800)
+        monkeypatch.setattr(cp_als, "TOL", 1e-9)
         grid = AngleGrid(64, 32)
         channel, design = on_grid_scene(12, (1, 2, 1), 32, 16, 10, 10, 4, grid)
         meas = simulate(channel, design, None)
-        cfg = PipelineConfig(
-            grid=grid, als=AlsConfig(k_upper=10, max_iters=800, tol=1e-9))
-        res = estimate_all(meas, design, cfg, channel)
+        res = estimate_all(meas, design, channel_truth=channel)
         assert res.estimated_rank == 4
         assert res.nmse_total < 1e-4
 
-    def test_estimate_follows_the_channel_scale(self):
+    def test_estimate_follows_the_channel_scale(self, monkeypatch, grid_2x):
         # the decomposition runs on a normalized copy; the estimate must come
         # back at the scale of the measured channel, whatever it is
+        monkeypatch.setattr(cp_als, "MAX_ITERS", 500)
+        monkeypatch.setattr(cp_als, "TOL", 1e-10)
         grid = AngleGrid(64, 32)
         channel, design = on_grid_scene(11, (1, 1, 1), 32, 16, 10, 10, 3, grid)
-        cfg = PipelineConfig(grid=grid, als=AlsConfig(max_iters=500, tol=1e-10), known_rank=3)
+        cfg = PipelineConfig(known_rank=3)
         for c in (1e-4, 3e3j):
             scaled = dataclasses.replace(channel, gains=c * channel.gains)
             res = estimate_all(simulate(scaled, design, None), design, cfg, scaled)
@@ -436,9 +447,9 @@ class TestEstimateAll:
         cfg = dataclasses.replace(
             bench.ExperimentConfig(seed=0, fixed_realization=True), snr_db=30.0)
         pcfg, channel, design, rng_noise, rng_als = bench.draw_scene(cfg, 0, trial)
-        als = AlsConfig(seed=int(rng_als.integers(2**31)))
+        als_seed = int(rng_als.integers(2**31))
         meas = simulate(channel, design, pcfg.snr_db, rng_noise)
-        res = estimate_all(meas, design, PipelineConfig(als=als, known_rank=13), channel)
+        res = estimate_all(meas, design, PipelineConfig(seed=als_seed, known_rank=13), channel)
         dead = res.diagnostics["dead_components"]
         assert dead == 2
         assert res.resolution.paths_per_user.sum() == 13 - dead

@@ -12,8 +12,8 @@ from cpchan.cp_als import (
     MU,
     POLISH_ITERS,
     RIDGE_FLOOR,
+    TOL,
     WARMUP_ITERS,
-    AlsConfig,
     _als_core,
     _gevd_init,
     _init_factors,
@@ -56,7 +56,7 @@ def noisy_tensor(seed, dims, rank, noise=0.05):
     return ComplexTensor3(Y / np.linalg.norm(Y))
 
 
-def dense_gram_als(Y, init, mu, cfg):
+def dense_gram_als(Y, init, mu, max_iters, tol):
     """Reference sweep: normal equations on the dense V^H V of each
     Khatri-Rao product, objective from the composed tensor."""
     Yts = [unfold(Y, n).T for n in (1, 2, 3)]
@@ -74,7 +74,7 @@ def dense_gram_als(Y, init, mu, cfg):
 
     trace = [objective(A, B, C)]
     it = 0
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, max_iters + 1):
         prev = (A, B, C)
         A = update(Yts[0], khatri_rao(C, B))
         B = update(Yts[1], khatri_rao(C, A))
@@ -82,7 +82,7 @@ def dense_gram_als(Y, init, mu, cfg):
         trace.append(objective(A, B, C))
         num = sum(np.linalg.norm(M - Mp) for M, Mp in zip((A, B, C), prev))
         den = sum(np.linalg.norm(M) for M in prev) + 1e-30
-        if num / den < cfg.tol:
+        if num / den < tol:
             break
     return FactorTriple(A, B, C), it, trace
 
@@ -94,17 +94,18 @@ class TestSweepMatchesDenseGramReference:
     def test_iterations_factors_and_trace(self, dims, rank, fit_rank, mu):
         Y = noisy_tensor(40 + rank, dims, rank)
         init = random_factors(np.random.default_rng(50 + fit_rank), dims, fit_rank)
-        cfg = AlsConfig(max_iters=600)   # long enough for most cases to converge
-        res = _als_core(Y, fit_rank, cfg, mu=mu, init=init)
-        F, iterations, trace = dense_gram_als(Y, init, mu, cfg)
+        max_iters = 600   # long enough for most cases to converge
+        res = _als_core(Y, fit_rank, max_iters, 0, mu=mu, init=init)
+        F, iterations, trace = dense_gram_als(Y, init, mu, max_iters, TOL)
         assert res.iterations == iterations
         for got, want in zip((res.factors.A, res.factors.B, res.factors.C), (F.A, F.B, F.C)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
         np.testing.assert_allclose(res.objective_trace, trace, rtol=1e-10)
 
-    def test_known_rank_final_objective_is_the_dense_objective(self):
+    def test_known_rank_final_objective_is_the_dense_objective(self, monkeypatch):
+        monkeypatch.setattr(cp_als, "MAX_ITERS", 200)
         Y = noisy_tensor(60, (8, 7, 5), 3)
-        res = als_known_rank(Y, 3, AlsConfig(max_iters=200))
+        res = als_known_rank(Y, 3)
         F = res.factors
         assert res.objective_trace[-1] == pytest.approx(_objective(Y, F.A, F.B, F.C, 0.0), rel=1e-10)
 
@@ -117,7 +118,9 @@ class TestSweepMatchesDenseGramReference:
             return compose(F)
 
         monkeypatch.setattr(cp_als, "compose", counting_compose)
-        als_regularized(noisy_tensor(61, (6, 5, 4), 2), AlsConfig(k_upper=4, max_iters=50))
+        monkeypatch.setattr(cp_als, "K_UPPER", 4)
+        monkeypatch.setattr(cp_als, "MAX_ITERS", 50)
+        als_regularized(noisy_tensor(61, (6, 5, 4), 2))
         assert len(calls) == 2
 
 
@@ -125,11 +128,11 @@ class TestOneStart:
     def test_no_init_is_the_seeded_random_start(self):
         # on this input a best-of-several-starts rule would keep another start
         Y = noisy_tensor(61, (6, 5, 4), 2)
-        cfg = AlsConfig(max_iters=100)
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+        seed = 0
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         init = FactorTriple(*_init_factors(rng, Y.dims, 4))
-        got = _als_core(Y, 4, cfg, MU)
-        want = _als_core(Y, 4, cfg, MU, init=init)
+        got = _als_core(Y, 4, 100, seed, MU)
+        want = _als_core(Y, 4, 100, seed, MU, init=init)
         assert got.iterations == want.iterations
         for g, w in zip((got.factors.A, got.factors.B, got.factors.C),
                         (want.factors.A, want.factors.B, want.factors.C)):
@@ -171,45 +174,50 @@ class TestPencilInit:
 class TestKnownRank:
     @pytest.mark.parametrize("dims,rank", [((6, 5, 4), 2), ((8, 7, 4), 4),
                                            ((12, 10, 4), 6)])
-    def test_noiseless_exact_recovery(self, dims, rank):
+    def test_noiseless_exact_recovery(self, monkeypatch, dims, rank):
+        monkeypatch.setattr(cp_als, "MAX_ITERS", 500)
+        monkeypatch.setattr(cp_als, "TOL", 1e-10)
         rng = np.random.default_rng(100 + rank)
         F = random_factors(rng, dims, rank)
         Y = compose(F)
-        res = als_known_rank(Y, rank, AlsConfig(max_iters=500, tol=1e-10))
+        res = als_known_rank(Y, rank)
         assert rel_fit(Y, res.factors) < 1e-7
 
-    def test_recovers_scaled_tensor(self):
+    def test_recovers_scaled_tensor(self, monkeypatch):
         # the solver normalizes internally; recovery must be scale invariant
+        monkeypatch.setattr(cp_als, "MAX_ITERS", 500)
+        monkeypatch.setattr(cp_als, "TOL", 1e-10)
         rng = np.random.default_rng(11)
         F = random_factors(rng, (6, 5, 4), 3)
-        cfg = AlsConfig(max_iters=500, tol=1e-10)
         Y = ComplexTensor3(compose(F).data * 1e-7)
-        res = als_known_rank(Y, 3, cfg)
+        res = als_known_rank(Y, 3)
         assert rel_fit(Y, res.factors) < 1e-7
         # a noisy tensor is fitted as well at any scale as at unit norm
         noisy = noisy_tensor(11, (6, 5, 4), 3)
-        fit = rel_fit(noisy, als_known_rank(noisy, 3, cfg).factors)
+        fit = rel_fit(noisy, als_known_rank(noisy, 3).factors)
         for c in (1e-7, 1e5):
             Ys = ComplexTensor3(noisy.data * c)
-            assert rel_fit(Ys, als_known_rank(Ys, 3, cfg).factors) == pytest.approx(
+            assert rel_fit(Ys, als_known_rank(Ys, 3).factors) == pytest.approx(
                 fit, rel=1e-9)
 
-    def test_trace_monotone_nonincreasing(self):
+    def test_trace_monotone_nonincreasing(self, monkeypatch):
+        monkeypatch.setattr(cp_als, "MAX_ITERS", 100)
         rng = np.random.default_rng(12)
         Y = compose(random_factors(rng, (7, 6, 5), 3))
         noisy = ComplexTensor3(
             Y.data + 0.05 * (rng.standard_normal(Y.dims)
                              + 1j * rng.standard_normal(Y.dims)))
-        res = als_known_rank(noisy, 3, AlsConfig(max_iters=100))
+        res = als_known_rank(noisy, 3)
         trace = np.array(res.objective_trace)
         assert np.all(np.diff(trace) <= 1e-10 * trace[0])
 
-    def test_rank1_noisy_fit_bounded_by_noise(self):
+    def test_rank1_noisy_fit_bounded_by_noise(self, monkeypatch):
+        monkeypatch.setattr(cp_als, "MAX_ITERS", 300)
         rng = np.random.default_rng(13)
         Y = compose(random_factors(rng, (8, 6, 4), 1))
         W = 0.01 * (rng.standard_normal(Y.dims) + 1j * rng.standard_normal(Y.dims))
         noisy = ComplexTensor3(Y.data + W)
-        res = als_known_rank(noisy, 1, AlsConfig(max_iters=300))
+        res = als_known_rank(noisy, 1)
         # the best rank-1 fit can be no worse than the noise it must absorb
         assert rel_fit(noisy, res.factors) <= 1.01 * np.linalg.norm(W) / frobenius_norm(noisy)
 
@@ -221,17 +229,17 @@ class TestKnownRank:
         with pytest.raises(ValueError):
             als_known_rank(ComplexTensor3(np.zeros((3, 3, 3), complex)), 1)
 
-    def test_zero_iteration_budget_raises(self):
-        # a zero budget would return the random start as the decomposition
-        with pytest.raises(ValueError, match="max_iters"):
-            AlsConfig(max_iters=0)
-
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_rank1_exact_for_any_draw(self, seed):
         rng = np.random.default_rng(seed)
         Y = compose(random_factors(rng, (5, 4, 3), 1))
-        res = als_known_rank(Y, 1, AlsConfig(max_iters=300, tol=1e-12))
+        # hypothesis runs every draw in one call of the test, so the patch
+        # cannot come from the function-scoped fixture
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cp_als, "MAX_ITERS", 300)
+            mp.setattr(cp_als, "TOL", 1e-12)
+            res = als_known_rank(Y, 1)
         assert rel_fit(Y, res.factors) < 1e-8
 
 
@@ -260,43 +268,50 @@ class TestComponentUtilities:
 
 class TestRegularized:
     @pytest.mark.parametrize("true_rank", [1, 2, 4])
-    def test_estimates_rank_noiseless(self, true_rank):
+    def test_estimates_rank_noiseless(self, monkeypatch, true_rank):
+        monkeypatch.setattr(cp_als, "K_UPPER", 8)
+        monkeypatch.setattr(cp_als, "MAX_ITERS", 400)
         rng = np.random.default_rng(30 + true_rank)
         F = random_factors(rng, (10, 8, 6), true_rank, unit_norm=True)
         Y = ComplexTensor3(compose(F).data / frobenius_norm(compose(F)))
-        res = als_regularized(Y, AlsConfig(k_upper=8, max_iters=400))
+        res = als_regularized(Y)
         assert res.estimated_rank == true_rank
         assert rel_fit(Y, res.factors) < 1e-4
 
-    def test_estimates_rank_under_mild_noise(self):
+    def test_estimates_rank_under_mild_noise(self, monkeypatch):
+        monkeypatch.setattr(cp_als, "K_UPPER", 8)
+        monkeypatch.setattr(cp_als, "MAX_ITERS", 400)
         rng = np.random.default_rng(35)
         F = random_factors(rng, (12, 10, 6), 3, unit_norm=True)
         Y = compose(F)
         W = rng.standard_normal(Y.dims) + 1j * rng.standard_normal(Y.dims)
         W *= 0.01 * frobenius_norm(Y) / np.linalg.norm(W)
         noisy = ComplexTensor3((Y.data + W) / frobenius_norm(ComplexTensor3(Y.data + W)))
-        res = als_regularized(noisy, AlsConfig(k_upper=8, max_iters=400))
+        res = als_regularized(noisy)
         assert res.estimated_rank == 3
 
-    def test_rank_and_fit_do_not_depend_on_scale(self):
+    def test_rank_and_fit_do_not_depend_on_scale(self, monkeypatch):
         # the ridge weight is calibrated to unit energy; the solver, not its
         # caller, normalizes, so any scale gives the unit-norm result
+        monkeypatch.setattr(cp_als, "K_UPPER", 8)
+        monkeypatch.setattr(cp_als, "MAX_ITERS", 400)
         noisy = noisy_tensor(35, (12, 10, 6), 3, noise=0.01)
-        cfg = AlsConfig(k_upper=8, max_iters=400)
         ranks, fits = [], []
         for c in (1e-3, 0.1, 1.0, 10.0, 1e3):
             Ys = ComplexTensor3(c * noisy.data)
-            res = als_regularized(Ys, cfg)
+            res = als_regularized(Ys)
             ranks.append(res.estimated_rank)
             fits.append(rel_fit(Ys, res.factors))
         assert ranks == [3] * 5
         np.testing.assert_allclose(fits, fits[2], rtol=1e-9)
 
-    def test_ridge_trace_monotone(self):
+    def test_ridge_trace_monotone(self, monkeypatch):
+        monkeypatch.setattr(cp_als, "K_UPPER", 6)
+        monkeypatch.setattr(cp_als, "MAX_ITERS", 200)
         rng = np.random.default_rng(36)
         Y = compose(random_factors(rng, (8, 7, 5), 3, unit_norm=True))
         Yn = ComplexTensor3(Y.data / frobenius_norm(Y))
-        res = als_regularized(Yn, AlsConfig(k_upper=6, max_iters=200))
+        res = als_regularized(Yn)
         trace = np.array(res.objective_trace)
         assert np.all(np.diff(trace) <= 1e-10 * trace[0])
 
@@ -322,10 +337,10 @@ def doubled_steps(monkeypatch):
     stages = []
     core, step = cp_als._als_core, cp_als._doubled_step
 
-    def spy_core(Y, rank, cfg, mu, init=None, **kwargs):
-        stage = {"mu": mu, "init": init is not None, "max_iters": cfg.max_iters, "tried": 0}
+    def spy_core(Y, rank, max_iters, seed, mu, init=None, **kwargs):
+        stage = {"mu": mu, "init": init is not None, "max_iters": max_iters, "tried": 0}
         stages.append(stage)
-        res = core(Y, rank, cfg, mu, init, **kwargs)
+        res = core(Y, rank, max_iters, seed, mu, init, **kwargs)
         stage["iterations"] = res.iterations
         stage["zero_columns"] = int(np.sum(~np.any(res.factors.C, axis=0)))
         return res
@@ -358,10 +373,10 @@ class TestDroppedComponents:
         # the floor's scale counts the stage's components, so only without the
         # floor is a rank-3 sweep the same arithmetic problem
         monkeypatch.setattr(cp_als, "RIDGE_FLOOR", 0.0)
+        monkeypatch.setattr(cp_als, "TOL", 1e-300)
         Y, zeroed, without, live = self.start()
-        cfg = AlsConfig(max_iters=20, tol=1e-300)
-        got = _als_core(Y, self.RANK, cfg, mu, init=zeroed)
-        want = _als_core(Y, self.RANK - 1, cfg, mu, init=without)
+        got = _als_core(Y, self.RANK, 20, 0, mu, init=zeroed)
+        want = _als_core(Y, self.RANK - 1, 20, 0, mu, init=without)
         assert got.iterations == want.iterations == 20
         for g, w in zip((got.factors.A, got.factors.B, got.factors.C),
                         (want.factors.A, want.factors.B, want.factors.C)):
@@ -372,13 +387,13 @@ class TestDroppedComponents:
                                    rtol=1e-13)
 
     @pytest.mark.parametrize("mu", [MU, 0.0])
-    def test_matches_the_reference_sweeping_it(self, mu):
+    def test_matches_the_reference_sweeping_it(self, monkeypatch, mu):
         # with the floor, the dense reference that keeps sweeping the zero
         # component is the plain arithmetic
+        monkeypatch.setattr(cp_als, "TOL", 1e-300)
         Y, zeroed, _, live = self.start()
-        cfg = AlsConfig(max_iters=20, tol=1e-300)
-        got = _als_core(Y, self.RANK, cfg, mu, init=zeroed)
-        F, _, trace = dense_gram_als(Y, zeroed, mu, cfg)
+        got = _als_core(Y, self.RANK, 20, 0, mu, init=zeroed)
+        F, _, trace = dense_gram_als(Y, zeroed, mu, 20, 1e-300)
         for g, w in zip((got.factors.A, got.factors.B, got.factors.C), (F.A, F.B, F.C)):
             assert not np.any(w[:, self.DEAD]) and not np.any(g[:, self.DEAD])
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-13 * np.abs(w).max())
@@ -387,7 +402,7 @@ class TestDroppedComponents:
     def test_all_components_zero_converges_at_once(self):
         Y = noisy_tensor(72, self.DIMS, 2)
         Z = FactorTriple(*(np.zeros((d, 3), complex) for d in self.DIMS))
-        res = _als_core(Y, 3, AlsConfig(max_iters=50), MU, init=Z)
+        res = _als_core(Y, 3, 50, 0, MU, init=Z)
         assert (res.iterations, res.converged) == (1, True)
         assert res.factors.rank == 3 and not np.any(res.factors.C)
         assert res.objective_trace == [pytest.approx(frobenius_norm(Y) ** 2, rel=1e-12)] * 2
@@ -400,7 +415,7 @@ class TestDoubledRidgeSteps:
     @pytest.mark.parametrize("snr_db,trial", [(30.0, 0), (25.0, 1)])
     def test_ridge_trace_never_rises(self, doubled_steps, snr_db, trial):
         Y, seed = table1_tensor(snr_db, trial)
-        res = als_regularized(Y, AlsConfig(seed=seed))
+        res = als_regularized(Y, seed)
         ridge = doubled_steps[0]
         assert ridge["mu"] == MU and ridge["tried"] > 0
         trace = np.array(res.objective_trace)
@@ -408,12 +423,12 @@ class TestDoubledRidgeSteps:
 
     def test_only_the_ridge_stage_tries_them(self, doubled_steps):
         Y, seed = table1_tensor(30.0, 0)
-        als_known_rank(Y, 13, AlsConfig(seed=seed))
+        als_known_rank(Y, 13, seed)
         warmup, exact = doubled_steps
         # the warm-up zeroed components, so it would extrapolate if allowed
         assert warmup["mu"] == MU and warmup["zero_columns"] > 0
         assert exact["mu"] == 0.0 and exact["zero_columns"] > 0
-        als_regularized(Y, AlsConfig(seed=seed))
+        als_regularized(Y, seed)
         ridge, polish = doubled_steps[2:]
         assert [s["tried"] for s in doubled_steps] == [0, 0, ridge["tried"], 0]
         assert ridge["mu"] == MU and ridge["tried"] > 0 and polish["mu"] == 0.0
@@ -424,11 +439,10 @@ class TestDoubledRidgeSteps:
         # of trial 1 at 30 dB: their start waits for EXTRAPOLATE_BELOW
         for trial in range(4):
             Y, seed = table1_tensor(snr_db, trial)
-            cfg = AlsConfig(seed=seed)
-            res = als_regularized(Y, cfg)
+            res = als_regularized(Y, seed)
             assert doubled_steps[-2]["tried"] > 0
             Yn = ComplexTensor3(Y.data / frobenius_norm(Y))
-            plain = cp_als._als_core(Yn, cfg.k_upper, cfg, mu=MU)
+            plain = cp_als._als_core(Yn, cp_als.K_UPPER, cp_als.MAX_ITERS, seed, mu=MU)
             assert doubled_steps[-1]["tried"] == 0
             _, keep = prune_components(plain.factors, cp_als.PRUNE_THRESHOLD)
             assert res.estimated_rank == int(np.sum(keep))
@@ -441,10 +455,10 @@ class TestPolishBudget:
     every other stage keeps its budget."""
 
     @pytest.mark.parametrize("max_iters", [1000, 30])
-    def test_polish_is_capped(self, doubled_steps, max_iters):
+    def test_polish_is_capped(self, monkeypatch, doubled_steps, max_iters):
+        monkeypatch.setattr(cp_als, "MAX_ITERS", max_iters)
         Y, seed = table1_tensor(30.0, 0)
-        cfg = AlsConfig(seed=seed, max_iters=max_iters)
-        res = als_regularized(Y, cfg)
+        res = als_regularized(Y, seed)
         ridge, polish = doubled_steps
         assert ridge["mu"] == MU and not ridge["init"]
         assert ridge["max_iters"] == max_iters
@@ -457,9 +471,8 @@ class TestPolishBudget:
 
     def test_known_rank_budgets_unchanged(self, doubled_steps):
         Y, seed = table1_tensor(30.0, 0)
-        cfg = AlsConfig(seed=seed)
-        res = als_known_rank(Y, 13, cfg)
+        res = als_known_rank(Y, 13, seed)
         warmup, exact = doubled_steps
         assert (warmup["mu"], warmup["init"], warmup["max_iters"]) == (MU, False, WARMUP_ITERS)
-        assert (exact["mu"], exact["init"], exact["max_iters"]) == (0.0, True, cfg.max_iters)
+        assert (exact["mu"], exact["init"], exact["max_iters"]) == (0.0, True, cp_als.MAX_ITERS)
         assert res.polish_sweeps == 0

@@ -235,15 +235,14 @@ class TestAssembleProblem:
 
 class TestSolveCs:
     def test_noiseless_on_grid_exact(self):
+        # the production noiseless rule: lambda = 1e-8 max|A^H y|
         grid = AngleGrid(32, 16)
         rng = np.random.default_rng(8)
         channel = sample_channel_on_grid(rng, (1, 1), 16, 8, grid.sin_aoa, grid.sin_aod)
         design = build_design(rng, 16, 8, 16, 16, 2, (1, 1))
         meas = simulate(channel, design, None)
         prob = assemble_problem(meas, design, grid)
-        res = solve_cs(prob, FistaConfig(lam=1e-8 * np.linalg.norm(prob.y),
-                                         max_iters=5000, tol=1e-15),
-                       channel_truth=channel)
+        res = solve_cs(prob, channel_truth=channel)
         assert res.nmse_total < 1e-4
         # each user carries one on-grid path; the support must find it
         H_true = assemble_all(channel)
@@ -285,6 +284,5 @@ class TestSolveCs:
         channel = sample_channel(rng, 2, (1, 1), 16, 8)
         design = build_design(rng, 16, 8, 6, 5, 2, (1, 1))
         meas = simulate(channel, design, 10.0, rng)
-        res = solve_cs(assemble_problem(meas, design, grid),
-                       FistaConfig(lam=0.1, max_iters=50))
+        res = solve_cs(assemble_problem(meas, design, grid))
         assert res.nmse_total is None and res.nmse_per_user is None

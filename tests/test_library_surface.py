@@ -2,7 +2,9 @@
 benchmark run: every public top-level function or class of ``src/cpchan``
 is referenced outside its own body by the package, by ``perfbench/`` (its
 tests aside) or by ``scripts/``.  Helpers that only tests call belong under
-``tests/`` (see ``oracles.py``)."""
+``tests/`` (see ``oracles.py``).  Likewise every field of a frozen
+``*Config`` dataclass is set by one of those callers; a value that only tests
+set is a module constant that the tests patch."""
 
 import ast
 from pathlib import Path
@@ -63,3 +65,46 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     assert {"fista", "estimate_all", "solve_cs", "run_sweep"} <= names
     unused = unused_definitions(trees)
     assert not unused, f"public definitions that only tests call: {unused}"
+
+
+def is_frozen_dataclass(node):
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
+                       for k in d.keywords)
+               for d in node.decorator_list)
+
+
+def config_fields(trees):
+    """{"module.Class": field names} of every frozen *Config dataclass but
+    ExperimentConfig, whose fields are the keys that configs/*.json set."""
+    configs = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in public_definitions(trees[path]):
+            if (isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+                    and node.name != "ExperimentConfig" and is_frozen_dataclass(node)):
+                configs[f"{path.stem}.{node.name}"] = [
+                    stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return configs
+
+
+def keywords_passed(trees, class_name):
+    """Keyword arguments of every call of ``class_name`` (by name or attribute)."""
+    passed = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if callee == class_name:
+                    passed |= {k.arg for k in node.keywords if k.arg}
+    return passed
+
+
+def test_every_config_field_is_set_outside_the_tests():
+    trees = library_users()
+    configs = config_fields(trees)
+    assert {"sparse_solver.FistaConfig", "channel_recovery.PipelineConfig"} <= set(configs)
+    unset = [f"{name}.{field}" for name, names in configs.items()
+             for field in names
+             if field not in keywords_passed(trees, name.rsplit(".", 1)[1])]
+    assert not unset, f"config fields that only tests set: {unset}"

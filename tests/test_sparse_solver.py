@@ -722,6 +722,13 @@ class TestFista:
         with pytest.raises(ValueError):
             FistaConfig(lam=0.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_raises(self, lam):
+        # NaN and inf used to pass and run the whole budget to a NaN iterate
+        # or objective
+        with pytest.raises(ValueError, match="lam"):
+            FistaConfig(lam=lam)
+
     @pytest.mark.parametrize("step", [-1.0, 0.0, np.nan, np.inf])
     def test_invalid_step_raises(self, step):
         with pytest.raises(ValueError, match="step"):
