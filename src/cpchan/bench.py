@@ -28,7 +28,7 @@ from . import channel_recovery, cp_als, cs_baseline
 from .channel_sim import sample_channel
 from .measurement import simulate
 from .sparse_solver import AngleGrid
-from .training_design import build_design, check_uniqueness
+from .training_design import KrankLimitError, build_design, check_uniqueness
 
 CSV_SCHEMA_VERSION = "1"
 
@@ -53,6 +53,10 @@ CS_OVERSAMPLING = {"cs_grid1": 1, "cs_grid2": 2}
 # rises of the mean NMSE between adjacent sweep points that the trend check
 # forgives as Monte-Carlo noise
 ALLOWED_INVERSIONS = 1
+
+# what a degenerate scene raises: a failed estimate becomes a failed: row and
+# a failed uniqueness check an unknown one; every other error propagates
+SCENE_ERRORS = (np.linalg.LinAlgError, cp_als.DegenerateDataError, KrankLimitError)
 
 
 def _is_finite_real(v) -> bool:
@@ -277,9 +281,10 @@ def run_trial(cfg: ExperimentConfig, point_idx: int, trial: int) -> list[ResultR
     tensor_hash = hashlib.sha256(np.ascontiguousarray(meas.y.data).tobytes()).hexdigest()[:16]
     try:
         uniq = "pass" if check_uniqueness(design, channel).passed else "fail"
-    except ValueError:
-        # the k-rank is not computable for this scene (exhaustive search past
-        # its limit); the estimators still run on it
+    except SCENE_ERRORS:
+        # a k-rank is not computable for this scene (an exhaustive search past
+        # its limit, or an SVD that does not converge); the estimators still
+        # run on it
         uniq = "unknown"
 
     rows = []
@@ -303,7 +308,7 @@ def run_trial(cfg: ExperimentConfig, point_idx: int, trial: int) -> list[ResultR
                 rows.append(ResultRow(
                     nmse=res.nmse_total, nmse_per_user=res.nmse_per_user or [],
                     runtime_s=res.runtime_s, estimated_rank=-1, **base))
-        except (np.linalg.LinAlgError, ValueError) as exc:
+        except SCENE_ERRORS as exc:
             # numerical failures on degenerate draws are recorded and the sweep
             # continues; any other exception is a programming error and propagates
             rows.append(ResultRow(

@@ -35,7 +35,7 @@ from .sparse_solver import (
     universal_lambda,
 )
 from .tensor_core import ComplexTensor3, khatri_rao, unfold
-from .training_design import TrainingDesign, krank
+from .training_design import TrainingDesign
 
 CPF_OVERSAMPLING = 4      # refinement grid: n_bs AoAs x n_ms AoDs, each oversampled 4x
 SUPPORT_THRESHOLD = 0.05  # keep grid coefficients above 5% of the peak magnitude
@@ -71,16 +71,19 @@ class EstimationResult:
 def resolve_ambiguity(S_hat: np.ndarray, S: np.ndarray) -> AmbiguityResolution:
     """Assign each estimated pilot column to its best-correlated user.
 
-    A zero column correlates with no user, so it raises a ValueError."""
+    No component, or a zero column, which correlates with no user, raises
+    cp_als.DegenerateDataError."""
     S_hat = np.asarray(S_hat, dtype=np.complex128)
     S = np.asarray(S, dtype=np.complex128)
-    if S_hat.ndim != 2 or S_hat.shape[1] < 1:
-        raise ValueError("need at least one estimated component")
+    if S_hat.ndim != 2:
+        raise ValueError("estimated pilot factor must be a matrix")
+    if S_hat.shape[1] < 1:
+        raise cp_als.DegenerateDataError("need at least one estimated component")
     if S_hat.shape[0] != S.shape[0]:
         raise ValueError("pilot length mismatch")
     zero = np.flatnonzero(~np.any(S_hat, axis=0))
     if zero.size:
-        raise ValueError(f"estimated pilot column {int(zero[0])} is all zero")
+        raise cp_als.DegenerateDataError(f"estimated pilot column {int(zero[0])} is all zero")
     u_count = S.shape[1]
     s_norms = np.linalg.norm(S, axis=0)
     # corr[u, l] = |<s_hat_l, s_u>| / (||s_hat_l|| ||s_u||)
@@ -147,10 +150,7 @@ def _support_and_refit(op: StackedGridOperator, norms: np.ndarray, z: np.ndarray
     the physical atoms, so the unit columns are rescaled.
     """
     support = _support_from_magnitudes(np.abs(x / norms), z.size)
-    if support.size == 0:
-        return support, np.array([], dtype=np.complex128)
-    cols = np.stack([op.column(k) for k in support], axis=1) * norms[support]
-    gains, *_ = np.linalg.lstsq(cols, z, rcond=REFIT_RCOND)
+    gains, *_ = np.linalg.lstsq(op.atoms(support) * norms[support], z, rcond=REFIT_RCOND)
     return support, gains
 
 
@@ -171,7 +171,7 @@ def _omp_support(op: StackedGridOperator, norms: np.ndarray, z: np.ndarray, corr
         return np.array([], dtype=int), np.array([], dtype=np.complex128)
     cap = max(1, z.size // 4)
     candidates = np.sort(np.argsort(np.abs(corr))[::-1][:cap])
-    cols = np.stack([op.column(k) for k in candidates], axis=1)
+    cols = op.atoms(candidates)
     z_norm = np.linalg.norm(z)
     residual = z
     selected: list[int] = []
@@ -201,7 +201,7 @@ def channel_from_grid(
     n_ms: int,
 ) -> np.ndarray:
     """Sum of grid-steering rank-one terms for the recovered support."""
-    aod_idx, aoa_idx = np.divmod(support, grid.n_aoa)
+    aod_idx, aoa_idx = grid.cells(support)
     return synthesize(gains, grid.sin_aoa[aoa_idx], grid.sin_aod[aod_idx], n_bs, n_ms)
 
 
@@ -262,9 +262,7 @@ def refine_channels(
     else:
         coefs, recover, converged = op.rmatvec(z_all), _omp_support, True
     coefs = coefs.reshape(grid.size, n_users, order="F")
-    # the block's norms, taken after the solve so that the tiled copy of all
-    # blocks' norms does not stay alive through it
-    norms = op.atom_norms()[:grid.size]
+    norms = op.atom_norms()
     supports = [recover(op, norms, Z[:, u], coefs[:, u]) for u in range(n_users)]
     channels = [channel_from_grid(support, gains, grid, design.n_bs, design.n_ms)
                 for support, gains in supports]
@@ -282,8 +280,9 @@ def estimate_all(
     ``cfg`` sets only the ALS seed and, with ``known_rank``, the fixed-rank
     solver; the refinement grid follows the design's arrays."""
     cfg = cfg or PipelineConfig()
-    if design.t < 2 or krank(design.S) < 2:
-        raise ValueError("pilot matrix has k-rank < 2; the decomposition cannot be unique")
+    if design.t < 2 or design.pilot_krank < 2:
+        raise cp_als.DegenerateDataError(
+            "pilot matrix has k-rank < 2; the decomposition cannot be unique")
     t0 = time.perf_counter()
 
     Y = measurement.y

@@ -61,7 +61,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_check_uniqueness(args) -> int:
     from . import bench
-    from .training_design import check_uniqueness
 
     cfg = _load_config(args)
     if cfg is None:
@@ -73,8 +72,8 @@ def _cmd_check_uniqueness(args) -> int:
         pcfg, channel, design, _, _ = bench.draw_scene(cfg, p, 0)
         label = f"{sweep_var}={getattr(pcfg, sweep_var)}"
         try:
-            report = check_uniqueness(design, channel)
-        except ValueError as exc:
+            report = bench.check_uniqueness(design, channel)
+        except bench.SCENE_ERRORS as exc:
             print(f"{label}: uniqueness unknown: {exc}", file=sys.stderr)
             status = 1
             continue

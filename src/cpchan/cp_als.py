@@ -96,6 +96,12 @@ PRUNE_THRESHOLD = 1e-2     # drop components below this share of the largest ene
 EXTRAPOLATE_BELOW = 1e-2
 
 
+class DegenerateDataError(ValueError):
+    """The measurement admits no estimate: a zero tensor, no live component,
+    or pilots too dependent for a unique decomposition.  The harness records
+    it as a failed trial; any other ValueError is a programming error."""
+
+
 @dataclass(frozen=True)
 class CpResult:
     factors: FactorTriple
@@ -288,7 +294,7 @@ def _unit_norm(Y: ComplexTensor3) -> tuple[ComplexTensor3, float]:
     """Y / ||Y|| and ||Y||; every stage of an entry point fits that copy."""
     scale = frobenius_norm(Y)
     if scale == 0.0:
-        raise ValueError("input tensor is zero")
+        raise DegenerateDataError("input tensor is zero")
     return ComplexTensor3(Y.data / scale), scale
 
 
@@ -334,7 +340,7 @@ def prune_components(F: FactorTriple, threshold: float) -> tuple[FactorTriple, n
     """Drop components with energy below threshold * max energy."""
     z = component_energies(F)
     if z.size == 0 or np.max(z) == 0.0:
-        raise ValueError("all components are zero; degenerate input")
+        raise DegenerateDataError("all components are zero; degenerate input")
     keep = z >= threshold * np.max(z)
     return FactorTriple(F.A[:, keep], F.B[:, keep], F.C[:, keep]), keep
 

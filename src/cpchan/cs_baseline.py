@@ -13,8 +13,10 @@ one large l1-regularized problem over all users' grid coefficients.  The
 refinement (``sparse_solver.StackedGridOperator``, one block per user)
 followed by one pilot-mixing product; the dense matrix is only assembled in
 oracle tests at toy sizes.  Like every grid dictionary operator it has
-unit-norm columns (the pilots mix with S over its column norms); its
-``atom_norms()``, pilot norm times grid atom norm, turn coefficients into gains.
+unit-norm columns (the pilots mix with S over its column norms).  Its
+``atoms(users, ks)`` gathers the unit atoms kron(s_u, Phi_k) of the refit in
+one product, and its ``atom_norms()``, pilot norm times grid atom norm, is
+laid out as D_bar, (grid.size, n_users), and turns coefficients into gains.
 """
 
 from __future__ import annotations
@@ -74,12 +76,14 @@ class PilotKronOperator:
         return (self.S, *self.grid_op.kron_factors())
 
     def atom_norms(self) -> np.ndarray:
-        """Per-column norms of the physical atoms kron(s_u, Phi_k)."""
-        return self.grid_op.atom_norms() * np.repeat(self._s_norms, self.grid_op.grid.size)
+        """Norms of the physical atoms kron(s_u, Phi_k), laid out as D_bar:
+        shape (grid.size, n_users), entry (k, u) for user u's atom k."""
+        return np.outer(self.grid_op.atom_norms(), self._s_norms)
 
-    def column(self, u: int, k: int) -> np.ndarray:
-        """Unit column of user u's grid atom k: kron(S[:, u], Phi_k)."""
-        return np.kron(self.S[:, u], self.grid_op.column(k))
+    def atoms(self, users, ks) -> np.ndarray:
+        """Unit atoms kron(S[:, users[i]], Phi_ks[i]), one column each."""
+        return (self.S[:, users][:, None] * self.grid_op.atoms(ks)[None]).reshape(
+            self.shape[0], len(ks))
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,7 @@ def solve_cs(
     sol = fista(op, prob.y, FistaConfig(lam=lam))
 
     design, grid = prob.design, prob.grid
-    norms = op.atom_norms().reshape(grid.size, design.n_users, order="F")
+    norms = op.atom_norms()
     D = sol.x.reshape(grid.size, design.n_users, order="F") / norms
     per_user_budget = op.shape[0] // design.n_users
     supports = [_support_from_magnitudes(np.abs(D[:, u]), per_user_budget)
@@ -137,11 +141,9 @@ def solve_cs(
     # joint support refit: LS over all retained columns keeps the per-user
     # interference consistent with the shared pilot mixing; the columns are
     # the physical atoms, so the LS solution is the path gains
-    cols = [op.column(u, k) * norms[k, u] for u, sup in enumerate(supports) for k in sup]
-    if cols:
-        gains, *_ = np.linalg.lstsq(np.stack(cols, axis=1), prob.y, rcond=None)
-    else:
-        gains = np.array([], dtype=np.complex128)
+    users = np.repeat(np.arange(design.n_users), [sup.size for sup in supports])
+    ks = np.concatenate(supports)
+    gains, *_ = np.linalg.lstsq(op.atoms(users, ks) * norms[ks, users], prob.y, rcond=None)
     per_user_gains = np.split(gains, np.cumsum([sup.size for sup in supports])[:-1])
     channels = [channel_from_grid(sup, g, grid, design.n_bs, design.n_ms)
                 for sup, g in zip(supports, per_user_gains)]

@@ -49,8 +49,15 @@ on the grid operator directly; the CS baseline mixes it with the pilots
 (``cs_baseline.PilotKronOperator``), which does not screen: at its plain
 universal threshold 99.8-100% of the rows pass the bound.  Every grid
 dictionary operator has unit-norm columns, so one l1 weight treats all atoms
-alike; a coefficient divided by its ``atom_norms()`` entry (the physical
-atom's norm) is the gain.
+alike.
+
+The grid dictionary owns its coefficient layout.  ``AngleGrid.cells`` is the
+one split of linear column indices into (AoD, AoA) indices; an operator's
+``atoms`` gathers unit atoms as the columns of one matrix in a broadcast
+product, without a matvec, for the debias refits; and its ``atom_norms()``
+holds the physical atoms' norms block by block (one block's for the grid
+operator, whose blocks share them; a (grid.size, n_users) array for the
+pilot-mixed one), so a coefficient divided by its norm is the gain.
 """
 
 from __future__ import annotations
@@ -314,7 +321,7 @@ class AngleGrid:
     """Uniform sin-domain grid over [-1, 1) for AoA (BS side) and AoD (MS side).
 
     Dictionary columns are ordered AoD-major: the column for AoD index i and
-    AoA index j has linear index i * n_aoa + j.
+    AoA index j has linear index i * n_aoa + j, which ``cells`` splits.
     """
 
     n_aoa: int
@@ -336,9 +343,9 @@ class AngleGrid:
     def sin_aod(self) -> np.ndarray:
         return -1.0 + 2.0 * np.arange(self.n_aod) / self.n_aod
 
-    def cell(self, linear_index: int) -> tuple[int, int]:
-        """(aod index, aoa index) of a linear dictionary column."""
-        return divmod(int(linear_index), self.n_aoa)
+    def cells(self, ks) -> tuple[np.ndarray, np.ndarray]:
+        """(AoD indices, AoA indices) of the linear dictionary columns ``ks``."""
+        return np.divmod(ks, self.n_aoa)
 
 
 # matvec runs over the support's columns once it holds at most
@@ -431,8 +438,7 @@ class StackedGridOperator:
         g = self.grid
         out = np.zeros((self.n_rhs, self.t_prime, self.m_bs), dtype=np.complex128)
         bounds = np.searchsorted(support, np.arange(self.n_rhs + 1) * g.size)
-        aod, aoa = np.divmod(support, g.n_aoa)
-        aod %= g.n_aod
+        aod, aoa = g.cells(support % g.size)
         cols_p = np.take(self.G_P, aod, axis=1)
         cols_q = np.take(self.G_Q, aoa, axis=1)
         cols_q *= np.take(x, support)
@@ -493,11 +499,14 @@ class StackedGridOperator:
         return self.G_P, self.G_Q
 
     def atom_norms(self) -> np.ndarray:
-        """Per-column norms of the physical atoms kron(P^T a_ms, Q^T a_bs)."""
-        return np.tile(np.outer(self._norms_q, self._norms_p).ravel(order="F"), self.n_rhs)
+        """Norms of one block's physical atoms kron(P^T a_ms, Q^T a_bs), one
+        per grid column; every block has the same."""
+        return np.outer(self._norms_q, self._norms_p).ravel(order="F")
 
-    def column(self, k: int) -> np.ndarray:
-        """Unit column k of one block, kron(G_P[:, j], G_Q[:, i]), without a matvec."""
-        j, i = self.grid.cell(k)
-        return np.outer(self.G_Q[:, i], self.G_P[:, j]).ravel(order="F")
+    def atoms(self, ks) -> np.ndarray:
+        """Unit atoms ``ks`` of one block, one column each: column (i, j) is
+        G_P[:, i] kron G_Q[:, j], formed as G_Q[:, j] times G_P[:, i]."""
+        aod, aoa = self.grid.cells(ks)
+        return (self.G_Q[:, aoa][None] * self.G_P[:, aod][:, None]).reshape(
+            self.t_prime * self.m_bs, len(ks))
 

@@ -17,6 +17,7 @@ SNR reference).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -69,6 +70,12 @@ class TrainingDesign:
     @property
     def n_users(self) -> int:
         return self.S.shape[1]
+
+    @cached_property
+    def pilot_krank(self) -> int:
+        """krank(S), searched once per design: the estimator's guard and the
+        uniqueness check both read it."""
+        return krank(self.S)
 
     def responses(self, sin_aoa, sin_aod) -> tuple[np.ndarray, np.ndarray]:
         """Compressed array responses (Q^T a_bs(sin_aoa), P^T a_ms(sin_aod)),
@@ -180,6 +187,11 @@ def build_design(
 # k-rank machinery
 # ---------------------------------------------------------------------------
 
+class KrankLimitError(ValueError):
+    """The k-rank needs an exhaustive subset search past its limit, so it is
+    not computed; a uniqueness check that needs it is inconclusive."""
+
+
 def _subset_independent(M: np.ndarray, cols, sigma_max: float) -> bool:
     sub = M[:, list(cols)]
     if len(cols) > M.shape[0]:
@@ -209,7 +221,7 @@ def krank_partitioned(M, blocks) -> int:
     the Kruskal rank.  If the whole matrix has full column rank the answer is
     the block count (every subset of independent columns is independent), so
     the exhaustive search only runs for rank-deficient inputs, and raises
-    ValueError past KRANK_EXHAUSTIVE_MAX blocks.
+    KrankLimitError past KRANK_EXHAUSTIVE_MAX blocks.
     """
     M = _as_matrix(M)
     blocks = [int(b) for b in blocks]
@@ -225,7 +237,7 @@ def krank_partitioned(M, blocks) -> int:
     if M.shape[1] <= M.shape[0] and s[-1] > KRANK_TOL * sigma_max:
         return n_blocks
     if n_blocks > KRANK_EXHAUSTIVE_MAX:
-        raise ValueError(
+        raise KrankLimitError(
             f"k-rank of a rank-deficient matrix with {n_blocks} blocks exceeds "
             f"the exhaustive search limit of {KRANK_EXHAUSTIVE_MAX}")
     starts = np.concatenate([[0], np.cumsum(blocks)])
@@ -270,7 +282,7 @@ def check_uniqueness(design: TrainingDesign, channel) -> UniquenessReport:
     check_channel_fits(design, channel)
     A_Q, A_P = design.responses(channel.sin_aoa, channel.sin_aod)
     ppu = channel.paths_per_user
-    k_s = krank(design.S)
+    k_s = design.pilot_krank
     k_aq, k_ap = krank_partitioned(A_Q, ppu), krank_partitioned(A_P, ppu)
     lhs, rhs = k_aq + k_ap + k_s, 2 * channel.n_users + 2
     # single-path users (unit blocks, where k' is the Kruskal rank) pass on the

@@ -1,8 +1,9 @@
 """Reference objects the tests compare the library against.
 
 Dense matrices and closed forms that the pipeline never builds: a dense
-operator, the dense grid dictionary, the adjoint check, the analytic soft
-threshold, frame coherence and its Welch bound, and on-grid channels.
+operator, the dense grid dictionary and its atoms one at a time, the adjoint
+check, the analytic soft threshold, frame coherence and its Welch bound, and
+on-grid channels.
 Import as ``from oracles import ...``; pytest puts ``tests/`` on the path.
 """
 
@@ -45,6 +46,18 @@ def build_dictionary(design, grid) -> np.ndarray:
     (not unit-norm) columns, via the mixed-product identity."""
     G_Q, G_P = design.responses(grid.sin_aoa, grid.sin_aod)
     return np.kron(G_P, G_Q)
+
+
+def grid_atom(G_Q, G_P, grid, k) -> np.ndarray:
+    """Column k of the grid dictionary with factors (G_Q, G_P), built alone:
+    G_P[:, i] kron G_Q[:, j] for AoD index i and AoA index j, k = i n_aoa + j."""
+    i, j = divmod(int(k), grid.n_aoa)
+    return np.outer(G_Q[:, j], G_P[:, i]).ravel(order="F")
+
+
+def pilot_atom(S, G_Q, G_P, grid, u, k) -> np.ndarray:
+    """User u's column k of the pilot-mixed dictionary, kron(S[:, u], Phi_k)."""
+    return np.kron(S[:, u], grid_atom(G_Q, G_P, grid, k))
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:

@@ -225,6 +225,35 @@ class TestRunTrial:
         assert row.nmse is None
         assert row.status == "failed:LinAlgError: SVD did not converge"
 
+    def test_degenerate_scene_becomes_a_typed_failed_row(self, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise cp_als.DegenerateDataError("input tensor is zero")
+
+        monkeypatch.setattr(bench.cs_baseline, "solve_cs", degenerate)
+        cfg = ExperimentConfig(**TINY, methods=("cs_grid1",))
+        (row,) = run_trial(cfg, 0, 0)
+        assert row.status == "failed:DegenerateDataError: input tensor is zero"
+
+    def test_plain_value_error_of_an_estimator_propagates(self, monkeypatch):
+        # e.g. a broadcast error inside the refit: a bug, not a degenerate scene
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(bench.cs_baseline, "solve_cs", broken)
+        cfg = ExperimentConfig(**TINY, methods=("cs_grid1",))
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            run_trial(cfg, 0, 0)
+
+    def test_plain_value_error_of_the_uniqueness_check_propagates(self, monkeypatch):
+        # e.g. a channel/design mismatch: a bug, not an inconclusive check
+        def broken(design, channel):
+            raise ValueError("channel has 3 users but the design has 2 pilot columns")
+
+        monkeypatch.setattr(bench, "check_uniqueness", broken)
+        cfg = ExperimentConfig(**TINY, methods=("cs_grid1",))
+        with pytest.raises(ValueError, match="3 users"):
+            run_trial(cfg, 0, 0)
+
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("unexpected keyword argument")
@@ -394,6 +423,16 @@ class TestCheckUniquenessCli:
                 np.testing.assert_array_equal(getattr(d_cli, name), getattr(d_run, name))
         out = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in out] == ["t=2", "t=3"]
+
+    def test_plain_value_error_propagates(self, tmp_path, monkeypatch):
+        def broken(design, channel):
+            raise ValueError("channel has 3 users but the design has 2 pilot columns")
+
+        monkeypatch.setattr(bench, "check_uniqueness", broken)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(TINY))
+        with pytest.raises(ValueError, match="3 users"):
+            cli.main(["check-uniqueness", str(path)])
 
     def test_scene_past_krank_limit_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpchan import bench, channel_recovery, cp_als
+from cpchan import bench, channel_recovery, cp_als, training_design
 from cpchan.channel_recovery import (
     PipelineConfig,
     channel_from_grid,
@@ -34,8 +34,8 @@ from cpchan.sparse_solver import (
     universal_lambda,
 )
 from cpchan.tensor_core import ComplexTensor3, FactorTriple, compose, frobenius_norm
-from cpchan.training_design import build_design, pilot_matrix
-from oracles import sample_channel_on_grid
+from cpchan.training_design import build_design, check_uniqueness, pilot_matrix
+from oracles import grid_atom, sample_channel_on_grid
 
 
 def random_factors(rng, dims, rank):
@@ -68,12 +68,12 @@ class TestResolveAmbiguity:
         S = pilot_matrix(np.random.default_rng(2), t=4, u=3)
         S_hat = S[:, [1, 0, 2]]
         S_hat[:, 1] = 0.0
-        with pytest.raises(ValueError, match="column 1 is all zero"):
+        with pytest.raises(cp_als.DegenerateDataError, match="column 1 is all zero"):
             resolve_ambiguity(S_hat, S)
 
     def test_input_validation(self):
         S = np.eye(4, dtype=complex)
-        with pytest.raises(ValueError):
+        with pytest.raises(cp_als.DegenerateDataError, match="at least one"):
             resolve_ambiguity(np.empty((4, 0), dtype=complex), S)
         with pytest.raises(ValueError):
             resolve_ambiguity(np.ones((3, 2), dtype=complex), S)
@@ -263,8 +263,7 @@ class PhysicalGridBlock:
         return (np_[None, :] * nq[:, None]).ravel(order="F")
 
     def column(self, k):
-        j, i = self.grid.cell(k)
-        return np.outer(self.G_Q[:, i], self.G_P[:, j]).ravel(order="F")
+        return grid_atom(self.G_Q, self.G_P, self.grid, k)
 
 
 def reference_support_and_refit(op, z, x, noise_std):
@@ -483,8 +482,38 @@ class TestEstimateAll:
         from cpchan.measurement import MeasurementTensor
 
         zero = MeasurementTensor(ComplexTensor3(np.zeros((6, 5, 2), complex)))
-        with pytest.raises(ValueError):
+        with pytest.raises(cp_als.DegenerateDataError):
             estimate_all(zero, design)
+
+    def test_dependent_pilots_are_degenerate(self):
+        rng = np.random.default_rng(13)
+        channel = sample_channel(rng, 2, (1, 1), 16, 8)
+        design = build_design(rng, 16, 8, 6, 5, 2, (1, 1))
+        meas = simulate(channel, design, 30.0, rng)
+        same = dataclasses.replace(design, S=design.S[:, [0, 0]])
+        with pytest.raises(cp_als.DegenerateDataError, match="k-rank < 2"):
+            estimate_all(meas, same)
+
+    def test_pilot_krank_is_searched_once_per_design(self, monkeypatch):
+        # the uniqueness check and every estimate on one design share the
+        # search of k(S); t = 3 pilot slots tell S's (3, 4) search apart
+        # from the steering ones, (6, 4) and (5, 4)
+        searched = []
+        search = training_design.krank_partitioned
+
+        def spy(M, blocks):
+            searched.append(np.shape(M))
+            return search(M, blocks)
+
+        monkeypatch.setattr(training_design, "krank_partitioned", spy)
+        rng = np.random.default_rng(23)
+        channel = sample_channel(rng, 4, (1,) * 4, 16, 8)
+        design = build_design(rng, 16, 8, 6, 5, 3, (1,) * 4)
+        check_uniqueness(design, channel)
+        meas = simulate(channel, design, 30.0, rng)
+        for _ in range(2):
+            estimate_all(meas, design, PipelineConfig(known_rank=4))
+        assert searched.count(design.S.shape) == 1
 
 
 class TestDemoScript:

@@ -226,7 +226,7 @@ class TestKnownRank:
         Y = compose(random_factors(rng, (4, 4, 4), 2))
         with pytest.raises(ValueError):
             als_known_rank(Y, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(cp_als.DegenerateDataError, match="tensor is zero"):
             als_known_rank(ComplexTensor3(np.zeros((3, 3, 3), complex)), 1)
 
     @settings(max_examples=15, deadline=None)
@@ -262,7 +262,7 @@ class TestComponentUtilities:
 
     def test_prune_all_zero_raises(self):
         Z = np.zeros((4, 2), complex)
-        with pytest.raises(ValueError):
+        with pytest.raises(cp_als.DegenerateDataError):
             prune_components(FactorTriple(Z, Z[:3], Z[:2]), 1e-2)
 
 
@@ -316,7 +316,7 @@ class TestRegularized:
         assert np.all(np.diff(trace) <= 1e-10 * trace[0])
 
     def test_zero_tensor_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(cp_als.DegenerateDataError, match="tensor is zero"):
             als_regularized(ComplexTensor3(np.zeros((3, 3, 3), complex)))
 
 

@@ -126,7 +126,8 @@ def check_dense_match(op, design, grid, rng):
     y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
     np.testing.assert_allclose(op.matvec(x), unit @ x, atol=1e-11)
     np.testing.assert_allclose(op.rmatvec(y), unit.conj().T @ y, atol=1e-11)
-    np.testing.assert_allclose(op.atom_norms(), np.linalg.norm(dense, axis=0), rtol=1e-12)
+    np.testing.assert_allclose(op.atom_norms().ravel(order="F"),
+                               np.linalg.norm(dense, axis=0), rtol=1e-12)
 
 
 class TestPilotKronOperator:
@@ -145,8 +146,8 @@ class TestPilotKronOperator:
         base = tiny_design(seed=12, t=3, users=2)
         design = dataclasses.replace(base, S=base.S * np.array([0.5, 3.0]))
         op = PilotKronOperator(design, grid)
-        cols = np.stack([op.column(u, k) for u in range(2) for k in range(grid.size)],
-                        axis=1)
+        users, ks = np.divmod(np.arange(op.shape[1]), grid.size)
+        cols = op.atoms(users, ks)
         np.testing.assert_allclose(np.linalg.norm(cols, axis=0), 1.0, atol=1e-12)
         expect = np.kron(unit_columns(design.S),
                          unit_columns(build_dictionary(design, grid)))
@@ -159,12 +160,13 @@ class TestPilotKronOperator:
         grid = AngleGrid(4, 4)
         op = PilotKronOperator(design, grid)
         dense = unit_columns(np.kron(design.S, build_dictionary(design, grid)))
-        for k in np.random.default_rng(3).choice(op.shape[1], size=5, replace=False):
+        picks = np.random.default_rng(3).choice(op.shape[1], size=5, replace=False)
+        for k in picks:
             e = np.zeros(op.shape[1], dtype=np.complex128)
             e[k] = 1.0
             np.testing.assert_allclose(op.matvec(e), dense[:, k], atol=1e-12)
-            np.testing.assert_allclose(op.column(*divmod(k, grid.size)), dense[:, k],
-                                       atol=1e-12)
+        np.testing.assert_allclose(op.atoms(*np.divmod(picks, grid.size)), dense[:, picks],
+                                   atol=1e-12)
 
     def test_support_product_matches_dense(self):
         # the support hint passes through the pilot mixing to the grid
@@ -219,7 +221,8 @@ class TestAssembleProblem:
             j = int(np.argmin(np.abs(grid.sin_aod - s_aod)))
             d[u * grid.size + j * grid.n_aoa + i] = g
         # path gains on the physical atoms are gain * atom norm on the unit ones
-        np.testing.assert_allclose(prob.operator.matvec(d * prob.operator.atom_norms()), prob.y,
+        norms = prob.operator.atom_norms().ravel(order="F")
+        np.testing.assert_allclose(prob.operator.matvec(d * norms), prob.y,
                                    rtol=1e-9, atol=1e-12)
         assert prob.noise_std == 0.0
 

@@ -24,7 +24,14 @@ from cpchan.sparse_solver import (
     universal_lambda,
 )
 from cpchan.training_design import build_design
-from oracles import MatrixOperator, adjoint_mismatch, build_dictionary, soft_threshold
+from oracles import (
+    MatrixOperator,
+    adjoint_mismatch,
+    build_dictionary,
+    grid_atom,
+    pilot_atom,
+    soft_threshold,
+)
 
 
 def small_design(seed=0, n_bs=16, n_ms=8, m_bs=6, t_prime=5, t=4):
@@ -152,20 +159,22 @@ class TestOperators:
         np.testing.assert_allclose(op.atom_norms(), np.linalg.norm(D, axis=0),
                                    rtol=1e-12)
 
-    def test_grid_operator_column_extraction(self):
+    def test_grid_operator_atoms_are_its_columns(self):
         design = small_design(seed=5)
         grid = AngleGrid(9, 7)
         op = StackedGridOperator(design, grid)
-        for k in [0, 1, 8, 9, grid.size - 1]:
-            e = np.zeros(grid.size, dtype=np.complex128)
-            e[k] = 1.0
-            np.testing.assert_allclose(op.column(k), op.matvec(e), atol=1e-12)
+        ks = np.array([0, 1, 8, 9, grid.size - 1])
+        E = np.zeros((grid.size, ks.size), dtype=np.complex128)
+        E[ks, np.arange(ks.size)] = 1.0
+        expect = np.stack([op.matvec(e) for e in E.T], axis=1)
+        np.testing.assert_allclose(op.atoms(ks), expect, atol=1e-12)
+        assert op.atoms(np.array([], dtype=int)).shape == (op.shape[0], 0)
 
     def test_normalized_columns_are_unit(self):
         design = small_design(seed=6)
         grid = AngleGrid(8, 8)
         op = StackedGridOperator(design, grid)
-        cols = np.stack([op.column(k) for k in range(grid.size)], axis=1)
+        cols = op.atoms(np.arange(grid.size))
         np.testing.assert_allclose(np.linalg.norm(cols, axis=0), 1.0, atol=1e-12)
 
     def test_stacked_operator_is_block_diagonal(self):
@@ -174,8 +183,8 @@ class TestOperators:
         base = StackedGridOperator(design, grid)
         stacked = StackedGridOperator(design, grid, 3)
         assert adjoint_mismatch(stacked, np.random.default_rng(8)) < 1e-10
-        np.testing.assert_array_equal(stacked.atom_norms(),
-                                      np.tile(base.atom_norms(), 3))
+        # every block has the same atoms, so the stack reports one block's norms
+        np.testing.assert_array_equal(stacked.atom_norms(), base.atom_norms())
         rng = np.random.default_rng(9)
         xs = [rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
               for _ in range(3)]
@@ -221,7 +230,49 @@ class TestOperators:
         with pytest.raises(ValueError):
             AngleGrid(0, 4)
         g = AngleGrid(8, 4)
-        assert g.cell(8 + 3) == (1, 3)  # column i*n_aoa + j -> (aod i, aoa j)
+        assert g.cells(8 + 3) == (1, 3)  # column i*n_aoa + j -> (aod i, aoa j)
+
+
+class TestDictionaryLayout:
+    """``atoms``, ``atom_norms`` and ``cells`` against the per-atom oracles."""
+
+    @pytest.mark.parametrize("grid_dims", [(256, 128), (128, 64)])
+    def test_atoms_are_the_per_atom_reference_bitwise(self, grid_dims):
+        # the table1 CPF and CS grids; atoms multiply G_Q by G_P, as
+        # np.outer(G_Q[:, j], G_P[:, i]) does, so every bit agrees
+        design = table1_design()
+        grid = AngleGrid(*grid_dims)
+        op = PilotKronOperator(design, grid)
+        grid_op = op.grid_op
+        ks = np.arange(3, grid.size, 61)
+        ref = np.stack([grid_atom(grid_op.G_Q, grid_op.G_P, grid, k) for k in ks], axis=1)
+        assert np.array_equal(grid_op.atoms(ks), ref)
+        # every user, paired with the indices entry by entry
+        users = np.arange(ks.size) % design.n_users
+        ref = np.stack([pilot_atom(op.S, grid_op.G_Q, grid_op.G_P, grid, u, k)
+                        for u, k in zip(users, ks)], axis=1)
+        assert np.array_equal(op.atoms(users, ks), ref)
+
+    def test_atom_norms_are_the_dense_block_norms(self):
+        design = small_design(seed=30)
+        grid = AngleGrid(10, 6)
+        op = StackedGridOperator(design, grid, 3)
+        D = build_dictionary(design, grid)
+        norms = op.atom_norms()
+        assert norms.shape == (grid.size,)
+        np.testing.assert_allclose(norms, np.linalg.norm(D, axis=0), rtol=1e-12)
+        pk = PilotKronOperator(design, grid)
+        dense = np.kron(design.S, D)
+        expect = np.linalg.norm(dense, axis=0).reshape(design.n_users, grid.size).T
+        assert pk.atom_norms().shape == (grid.size, design.n_users)
+        np.testing.assert_allclose(pk.atom_norms(), expect, rtol=1e-12)
+
+    def test_cells_inverts_the_linear_index(self):
+        grid = AngleGrid(12, 5)
+        i, j = np.meshgrid(np.arange(grid.n_aod), np.arange(grid.n_aoa), indexing="ij")
+        aod, aoa = grid.cells((i * grid.n_aoa + j).ravel())
+        np.testing.assert_array_equal(aod, i.ravel())
+        np.testing.assert_array_equal(aoa, j.ravel())
 
 
 class TestTopSingularValue:

@@ -12,6 +12,7 @@ from cpchan.training_design import (
     COHERENCE_ITERS,
     COHERENCE_RESTARTS,
     KRANK_EXHAUSTIVE_MAX,
+    KrankLimitError,
     TrainingDesign,
     build_design,
     check_uniqueness,
@@ -169,7 +170,7 @@ class TestKrank:
         rng = np.random.default_rng(11)
         n = KRANK_EXHAUSTIVE_MAX + 1
         M = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
-        with pytest.raises(ValueError):
+        with pytest.raises(KrankLimitError, match="exhaustive search limit"):
             krank(M)
 
     def test_matches_exhaustive_oracle(self):
