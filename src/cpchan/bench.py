@@ -157,11 +157,6 @@ class ExperimentConfig:
         return sum(self.paths_per_user)
 
     @property
-    def grid_cs1(self) -> tuple[int, int]:
-        k = CS_OVERSAMPLING["cs_grid1"]
-        return (k * self.n_bs, k * self.n_ms)
-
-    @property
     def grid_cs2(self) -> tuple[int, int]:
         k = CS_OVERSAMPLING["cs_grid2"]
         return (k * self.n_bs, k * self.n_ms)
@@ -302,7 +297,8 @@ def run_trial(cfg: ExperimentConfig, point_idx: int, trial: int) -> list[ResultR
                     nmse=res.nmse_total, nmse_per_user=res.nmse_per_user or [],
                     runtime_s=res.runtime_s, estimated_rank=res.estimated_rank, **base))
             else:
-                grid = AngleGrid(*(pcfg.grid_cs1 if method == "cs_grid1" else pcfg.grid_cs2))
+                k = CS_OVERSAMPLING[method]
+                grid = AngleGrid(k * pcfg.n_bs, k * pcfg.n_ms)
                 prob = cs_baseline.assemble_problem(meas, design, grid)
                 res = cs_baseline.solve_cs(prob, channel_truth=channel)
                 rows.append(ResultRow(

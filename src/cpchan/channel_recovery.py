@@ -1,16 +1,17 @@
 """From CP factors to per-user channel estimates.
 
-Pipeline stages:
+``estimate_all`` runs two stages, each with one owner:
 
-1.  Decompose the measurement tensor (regularized ALS, or fixed-rank ALS when
-    the total path count is known).
-2.  Resolve the CP permutation ambiguity by correlating each column of the
-    estimated pilot-mode factor against the known pilot matrix; the
-    best-matching user gets the component, and re-fitting the spatial
-    factors with those pilots held fixed settles the scaling ambiguity.
-3.  Per user, rebuild the compressed channel  A_Q_u * A_P_u^T
-    (= Q^T H_u P in the exact case), vectorize it and recover its support on
-    an AoA/AoD grid.  With noise that is a small l1 problem followed by a
+1.  ``front_end`` turns the measurement tensor into per-user compressed
+    images (a ``UserImages`` record).  It decomposes the tensor (regularized
+    ALS, or fixed-rank ALS when the total path count is known), resolves the
+    CP permutation ambiguity by correlating each column of the estimated
+    pilot-mode factor against the known pilot matrix (the best-matching user
+    gets the component), and settles the scaling ambiguity by re-fitting the
+    spatial factors with those pilots held fixed.  Column u of the images is
+    vec(A_Q_u * A_P_u^T) (= vec(Q^T H_u P) in the exact case).
+2.  ``refine_channels`` recovers each user's support on an AoA/AoD grid from
+    its image.  With noise that is a small l1 problem followed by a
     least-squares refit on the recovered support, which removes the shrinkage
     bias; a noiseless image goes straight to orthogonal matching pursuit.  The
     channel is then reassembled from grid steering vectors.
@@ -66,6 +67,23 @@ class EstimationResult:
     als_iterations: int = 0
     runtime_s: float = 0.0
     diagnostics: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class UserImages:
+    """The front end's output.  Column u of ``Z`` is user u's compressed image
+    vec(A_u B_u^T), built from the components ``resolution`` assigned to it
+    (zero for a user with none); ``fit`` is the decomposition they came from."""
+    Z: np.ndarray
+    resolution: AmbiguityResolution
+    fit: cp_als.CpResult
+
+    def __post_init__(self):
+        ranks = self.resolution.paths_per_user
+        if self.Z.ndim != 2 or self.Z.shape[1] != ranks.size:
+            raise ValueError(f"{ranks.size} users need {ranks.size} image columns")
+        if np.any(self.Z[:, ranks == 0]):
+            raise ValueError("a user with no component has a nonzero image")
 
 
 def resolve_ambiguity(S_hat: np.ndarray, S: np.ndarray) -> AmbiguityResolution:
@@ -232,6 +250,33 @@ class PipelineConfig:
     known_rank: int | None = None       # run fixed-rank ALS when set
 
 
+def front_end(
+    measurement: MeasurementTensor,
+    design: TrainingDesign,
+    cfg: PipelineConfig,
+) -> UserImages:
+    """CP decomposition, ambiguity resolution and pilot snap: every user's
+    compressed image from the measurement tensor."""
+    Y = measurement.y
+    if cfg.known_rank is not None:
+        res = cp_als.als_known_rank(Y, cfg.known_rank, cfg.seed)
+    else:
+        res = cp_als.als_regularized(Y, cfg.seed)
+    # a component with a zero pilot-mode column adds nothing to any channel
+    live = np.any(res.factors.C, axis=0)
+    resolution = resolve_ambiguity(res.factors.C[:, live], design.S)
+
+    # with the assignment fixed, the pilot-mode columns are known exactly;
+    # polishing the spatial factors against them removes pilot-mode noise
+    A_snap, B_snap = pilot_constrained_polish(
+        Y, design.S[:, resolution.assignment], res.factors.B[:, live], SNAP_SWEEPS)
+
+    assigned = [resolution.assignment == u for u in range(design.n_users)]
+    Z = np.stack(
+        [(A_snap[:, m] @ B_snap[:, m].T).ravel(order="F") for m in assigned], axis=1)
+    return UserImages(Z, resolution, res)
+
+
 def refine_channels(
     Z: np.ndarray,
     design: TrainingDesign,
@@ -275,7 +320,7 @@ def estimate_all(
     cfg: PipelineConfig | None = None,
     channel_truth: GeometricChannel | None = None,
 ) -> EstimationResult:
-    """Full pipeline: CP decomposition, ambiguity resolution, grid refinement.
+    """Full pipeline: ``front_end``, then ``refine_channels`` on its images.
 
     ``cfg`` sets only the ALS seed and, with ``known_rank``, the fixed-rank
     solver; the refinement grid follows the design's arrays."""
@@ -284,40 +329,25 @@ def estimate_all(
         raise cp_als.DegenerateDataError(
             "pilot matrix has k-rank < 2; the decomposition cannot be unique")
     t0 = time.perf_counter()
-
-    Y = measurement.y
-    if cfg.known_rank is not None:
-        res = cp_als.als_known_rank(Y, cfg.known_rank, cfg.seed)
-    else:
-        res = cp_als.als_regularized(Y, cfg.seed)
-    # a component with a zero pilot-mode column adds nothing to any channel
-    live = np.any(res.factors.C, axis=0)
-    resolution = resolve_ambiguity(res.factors.C[:, live], design.S)
-
-    # with the assignment fixed, the pilot-mode columns are known exactly;
-    # polishing the spatial factors against them removes pilot-mode noise
-    A_snap, B_snap = pilot_constrained_polish(
-        Y, design.S[:, resolution.assignment], res.factors.B[:, live], SNAP_SWEEPS)
-
-    assigned = [resolution.assignment == u for u in range(design.n_users)]
-    Z = np.stack(
-        [(A_snap[:, m] @ B_snap[:, m].T).ravel(order="F") for m in assigned], axis=1)
-    channels, solver_converged = refine_channels(Z, design, noise_std_per_entry(measurement))
+    images = front_end(measurement, design, cfg)
+    channels, solver_converged = refine_channels(
+        images.Z, design, noise_std_per_entry(measurement))
 
     runtime = time.perf_counter() - t0
     nmse_total, nmse_users = score_against_truth(channel_truth, channels)
+    fit = images.fit
     return EstimationResult(
         channels=channels,
-        resolution=resolution,
-        estimated_rank=res.estimated_rank,
+        resolution=images.resolution,
+        estimated_rank=fit.estimated_rank,
         nmse_total=nmse_total,
         nmse_per_user=nmse_users,
-        als_iterations=res.iterations,
+        als_iterations=fit.iterations,
         runtime_s=runtime,
         diagnostics={
-            "als_converged": res.converged,
-            "polish_sweeps": res.polish_sweeps,
+            "als_converged": fit.converged,
+            "polish_sweeps": fit.polish_sweeps,
             "solver_converged": solver_converged,
-            "dead_components": int(live.size - np.count_nonzero(live)),
+            "dead_components": fit.factors.C.shape[1] - images.resolution.assignment.size,
         },
     )

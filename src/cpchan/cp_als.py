@@ -86,7 +86,7 @@ WARMUP_ITERS = 200         # ridge warm-up sweep budget for the known-rank solve
 # exact-LS polish sweep budget after the rank decision: paths of one user share
 # a pilot column, so only each user's block is determined and the polish
 # crawls (sweeps 200-1000 lower its objective by about 2% on table1), and
-# estimate_all re-fits A and B against the exact pilots after it anyway
+# channel_recovery.front_end re-fits A and B against the exact pilots after it
 POLISH_ITERS = 200
 MU = 3e-3                  # ridge weight on unit-norm data; stable range [1e-3, 1e-2]
 PRUNE_THRESHOLD = 1e-2     # drop components below this share of the largest energy
@@ -227,7 +227,7 @@ def _als_core(
         num = sum(np.linalg.norm(M - Mp) for M, Mp in zip((A, B, C), prev))
         den = sum(np.linalg.norm(M) for M in prev) + 1e-30
         change = num / den
-        converged = change < TOL
+        converged = bool(change < TOL)
         if extrapolate and live.size < rank and TOL <= change < EXTRAPOLATE_BELOW:
             step, grams, step_obj = _doubled_step(Y3t, mu, (A, B, C), prev)
             if step_obj < obj:

@@ -105,7 +105,6 @@ class TestConfig:
         # CS at 1x and 2x the arrays, the CPF refinement at 4x: a trial's
         # refinement builds its grid operators on the 4x grid
         cfg = ExperimentConfig(**TINY, methods=("cpf_known_L",))
-        assert (cfg.grid_cs1, cfg.grid_cs2) == ((16, 8), (32, 16))
         grids = []
         operator = channel_recovery.StackedGridOperator
 
@@ -195,7 +194,8 @@ class TestRunTrial:
         monkeypatch.setattr(bench.cs_baseline, "assemble_problem", recording_assemble)
         cfg = ExperimentConfig(**TINY, methods=("cs_grid1", "cs_grid2"))
         run_trial(cfg, 0, 0)
-        assert grids == [cfg.grid_cs1, cfg.grid_cs2] == [(16, 8), (32, 16)]
+        # the benchmark's CS workload reads grid_cs2 for the grid cs_grid2 runs on
+        assert grids == [(16, 8), cfg.grid_cs2] == [(16, 8), (32, 16)]
 
     def test_deterministic_given_seeds(self):
         cfg = ExperimentConfig(**TINY, methods=("cpf_known_L", "cs_grid1"))

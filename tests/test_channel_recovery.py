@@ -1,6 +1,8 @@
-"""Factor-to-channel recovery: ambiguity resolution, polish, grid refinement."""
+"""Factor-to-channel recovery: ambiguity resolution, polish, grid refinement,
+and the two pipeline stages, front_end and refine_channels."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -12,8 +14,10 @@ import pytest
 from cpchan import bench, channel_recovery, cp_als, training_design
 from cpchan.channel_recovery import (
     PipelineConfig,
+    UserImages,
     channel_from_grid,
     estimate_all,
+    front_end,
     nmse,
     pilot_constrained_polish,
     refine_channels,
@@ -24,7 +28,7 @@ from cpchan.channel_sim import (
     sample_channel,
     steering_from_sin,
 )
-from cpchan.measurement import simulate
+from cpchan.measurement import noise_std_per_entry, simulate
 from cpchan.sparse_solver import (
     AngleGrid,
     FistaConfig,
@@ -381,6 +385,79 @@ class TestRefineChannelsParity:
         self.check(monkeypatch, Z, design, 0.0)
 
 
+def table1_scene(snr_db, trial):
+    """The pinned table1 scene (16x16x4 tensor, 8 users, 13 paths) of one
+    trial, as bench.run_trial draws it: measurement, design, channel and the
+    ALS seed."""
+    cfg = dataclasses.replace(
+        bench.ExperimentConfig(seed=0, fixed_realization=True), snr_db=snr_db)
+    pcfg, channel, design, rng_noise, rng_als = bench.draw_scene(cfg, 0, trial)
+    als_seed = int(rng_als.integers(2**31))
+    return simulate(channel, design, pcfg.snr_db, rng_noise), design, channel, als_seed
+
+
+def cpf_config(method, als_seed):
+    """The pipeline config bench.run_trial passes for a CPF method on table1."""
+    return PipelineConfig(seed=als_seed, known_rank=13 if method == "cpf_known_L" else None)
+
+
+class TestFrontEnd:
+    @pytest.fixture
+    def resolution(self):
+        # 3 users, components on users 0, 0 and 2: user 1 has none
+        S = pilot_matrix(np.random.default_rng(4), 4, 3)
+        return resolve_ambiguity(S[:, [0, 0, 2]], S)
+
+    def test_user_images_check_the_ranks(self, resolution):
+        fit = cp_als.CpResult(random_factors(np.random.default_rng(5), (4, 3, 4), 3), 0)
+        Z = np.zeros((6, 3), dtype=complex)
+        Z[:, [0, 2]] = 1.0
+        assert UserImages(Z, resolution, fit).Z is Z
+        with pytest.raises(ValueError, match="3 users need 3 image columns"):
+            UserImages(Z[:, :2], resolution, fit)
+        Z[0, 1] = 1e-300
+        with pytest.raises(ValueError, match="no component has a nonzero image"):
+            UserImages(Z, resolution, fit)
+
+    @pytest.mark.parametrize("method", ["cpf_known_L", "cpf_regularized"])
+    @pytest.mark.parametrize("trial", [0, 1, 2])
+    def test_refined_images_are_the_estimate(self, method, trial):
+        # estimate_all is front_end, then refine_channels on its images, bit for bit
+        meas, design, channel, als_seed = table1_scene(30.0, trial)
+        cfg = cpf_config(method, als_seed)
+        images = front_end(meas, design, cfg)
+        channels, _ = refine_channels(images.Z, design, noise_std_per_entry(meas))
+        res = estimate_all(meas, design, cfg, channel)
+        assert len(channels) == len(res.channels) == design.n_users
+        for H, H_est in zip(channels, res.channels):
+            np.testing.assert_array_equal(H, H_est)
+        np.testing.assert_array_equal(images.resolution.assignment, res.resolution.assignment)
+        assert images.fit.iterations == res.als_iterations
+
+    @pytest.mark.parametrize("trial, empty", [(0, 0), (1, 1), (2, 0)])
+    def test_empty_user_is_estimated_as_zero(self, trial, empty):
+        # at 0 dB the known-rank fit gives one user of the pinned scene no
+        # component: its image, its channel estimate and its error are exact
+        meas, design, channel, als_seed = table1_scene(0.0, trial)
+        cfg = cpf_config("cpf_known_L", als_seed)
+        images = front_end(meas, design, cfg)
+        assert images.resolution.empty_users == (empty,)
+        assert not np.any(images.Z[:, empty])
+        res = estimate_all(meas, design, cfg, channel)
+        assert res.resolution.empty_users == (empty,)
+        assert not np.any(res.channels[empty])
+        assert res.nmse_per_user[empty] == 1.0
+
+    @pytest.mark.parametrize("known_rank", [3, None])
+    def test_diagnostics_are_json(self, known_rank):
+        rng = np.random.default_rng(9)
+        channel = sample_channel(rng, 2, (1, 2), 16, 8)
+        design = build_design(rng, 16, 8, 8, 8, 2, (1, 2))
+        res = estimate_all(simulate(channel, design, 30.0, rng), design,
+                           PipelineConfig(known_rank=known_rank))
+        assert json.loads(json.dumps(res.diagnostics)) == res.diagnostics
+
+
 class TestEstimateAll:
     def test_default_grid_follows_the_arrays(self, monkeypatch):
         # a 16x8 design refines on its arrays oversampled CPF_OVERSAMPLING (4)
@@ -443,12 +520,8 @@ class TestEstimateAll:
     def test_zeroed_components_go_to_no_user(self, trial):
         # at 30 dB the known-rank ALS zeroes 2 of the pinned table1 scene's
         # 13 components; they used to count as paths of user 0
-        cfg = dataclasses.replace(
-            bench.ExperimentConfig(seed=0, fixed_realization=True), snr_db=30.0)
-        pcfg, channel, design, rng_noise, rng_als = bench.draw_scene(cfg, 0, trial)
-        als_seed = int(rng_als.integers(2**31))
-        meas = simulate(channel, design, pcfg.snr_db, rng_noise)
-        res = estimate_all(meas, design, PipelineConfig(seed=als_seed, known_rank=13), channel)
+        meas, design, channel, als_seed = table1_scene(30.0, trial)
+        res = estimate_all(meas, design, cpf_config("cpf_known_L", als_seed), channel)
         dead = res.diagnostics["dead_components"]
         assert dead == 2
         assert res.resolution.paths_per_user.sum() == 13 - dead
@@ -460,11 +533,8 @@ class TestEstimateAll:
     def test_polish_budget_moves_no_rank_or_assignment(self, monkeypatch, trial):
         # the polish follows the rank decision, so its sweep budget moves
         # neither the rank nor, on the pinned table1 scene, the assignment
-        cfg = dataclasses.replace(
-            bench.ExperimentConfig(seed=0, fixed_realization=True), snr_db=30.0)
-        pcfg, channel, design, rng_noise, rng_als = bench.draw_scene(cfg, 0, trial)
-        pipeline = bench._pipeline_config(pcfg, None, int(rng_als.integers(2**31)))
-        meas = simulate(channel, design, pcfg.snr_db, rng_noise)
+        meas, design, channel, als_seed = table1_scene(30.0, trial)
+        pipeline = cpf_config("cpf_regularized", als_seed)
         capped = estimate_all(meas, design, pipeline, channel)
         monkeypatch.setattr(cp_als, "POLISH_ITERS", 1000)
         full = estimate_all(meas, design, pipeline, channel)

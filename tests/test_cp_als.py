@@ -320,6 +320,19 @@ class TestRegularized:
             als_regularized(ComplexTensor3(np.zeros((3, 3, 3), complex)))
 
 
+class TestConvergedFlag:
+    @pytest.mark.parametrize("max_iters", [2, 1000])
+    def test_is_a_python_bool(self, monkeypatch, max_iters):
+        # estimate_all's diagnostics carry it into JSON, which rejects a
+        # numpy.bool; a 2-sweep budget stops unconverged, 1000 converges
+        monkeypatch.setattr(cp_als, "MAX_ITERS", max_iters)
+        Y = noisy_tensor(3, (6, 5, 4), 2)
+        results = (als_known_rank(Y, 2), als_regularized(Y))
+        for res in results:
+            assert type(res.converged) is bool
+        assert [res.converged for res in results] == [max_iters == 1000] * 2
+
+
 def table1_tensor(snr_db, trial):
     """The pinned table1 measurement tensor (16x16x4, 13 paths) of one trial,
     and its ALS seed, as bench.run_trial draws them."""
